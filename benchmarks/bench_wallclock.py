@@ -39,13 +39,6 @@ def main(argv=None) -> int:
                     help="end-to-end Somier functional grid edge")
     ap.add_argument("--steps", type=int, default=12,
                     help="end-to-end Somier timesteps")
-    ap.add_argument("--workers", default="1,2,4",
-                    help="comma-separated workers values for the sweep")
-    ap.add_argument("--sweep-n-functional", type=int, default=96,
-                    help="functional grid edge for the workers sweep "
-                         "(kernel-dominated)")
-    ap.add_argument("--sweep-steps", type=int, default=4,
-                    help="timesteps for the workers sweep")
     ap.add_argument("--analyzer-runs", type=int, default=3,
                     help="repeats per arm of the analyzer-overhead bench "
                          "(min is reported)")
@@ -73,13 +66,12 @@ def main(argv=None) -> int:
     result = run_wallclock(
         n=args.n, num_devices=args.devices, repeats=args.repeats,
         launches=args.launches, n_functional=args.n_functional,
-        steps=args.steps,
-        workers_list=[int(w) for w in args.workers.split(",")],
-        sweep_n_functional=args.sweep_n_functional,
-        sweep_steps=args.sweep_steps,
-        analyzer_runs=args.analyzer_runs,
+        steps=args.steps, analyzer_runs=args.analyzer_runs,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
 
+    host = result["host"]
+    print(f"host: {host['cpu_count']} cpu cores, Python {host['python']}, "
+          f"NumPy {host['numpy']}, {host['platform']}")
     micro = result["launch_microbench"]
     on, off = micro["cache_on"], micro["cache_off"]
     macro_off = micro["macro_off"]
@@ -112,21 +104,6 @@ def main(argv=None) -> int:
           f"(mean batch {eng['tie_mean_batch']:.1f}) vs "
           f"{eng['seq_events_per_s']:.2e} distinct-time; "
           f"timeout reuse {eng['timeout_reuse_frac']:.1%}")
-    sweep = result["workers_sweep"]
-    print(f"workers sweep (n={sweep['n_functional']}, "
-          f"steps={sweep['steps']}, {sweep['cpu_count']} cpu cores):")
-    for r in sweep["runs"]:
-        util = r.get("executor_utilization")
-        util_s = f", util {util:.0%}" if util is not None else ""
-        print(f"  workers={r['workers']}: {r['wall_s']:.3f}s "
-              f"({r['speedup_vs_1']:.2f}x vs serial{util_s})")
-
-    ivals = result["intervals"]
-    print(f"interval math:           "
-          f"{ivals['vector_pairs_per_s']:.2e} pairs/s vectorized vs "
-          f"{ivals['scalar_pairs_per_s']:.2e} scalar "
-          f"({ivals['speedup']:.1f}x, n={ivals['n']})")
-
     ana = result["analyzer_overhead"]
     print(f"analyzer overhead:       "
           f"{ana['analyze_wall_s']:.3f}s recording vs "

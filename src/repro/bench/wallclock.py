@@ -10,16 +10,13 @@ the directive under test is issued ``nowait`` against data that is already
 present, so the timed region never blocks and never moves bytes — it is
 pure host lowering.
 
-Three measurements:
+Four measurements:
 
 * :func:`launch_microbench` — repeated identical ``target spread teams
   distribute parallel for`` launches against pre-mapped buffers; reports
   cold (first, cache-miss) and warm (steady-state) per-launch cost.
 * :func:`end_to_end` — a small Somier run; reports wall seconds and
   timesteps/second.
-* :func:`workers_sweep` — the end-to-end run at a kernel-dominated size
-  under the parallel host backend (``workers`` = 1, 2, 4); reports the
-  wall-clock speedup curve of :mod:`repro.sim.executor`.
 * :func:`engine_microbench` — raw calendar-queue throughput (dispatched
   events per real second) over distinct-time and tied-time workloads.
 * :func:`analyzer_overhead` — the end-to-end run with tracing on, with and
@@ -27,16 +24,18 @@ Three measurements:
   recording overhead (budget: 5% of traced wall time) and the post-run
   analysis cost.
 
-:func:`run_wallclock` runs all three (the cache benches on and off) and computes the
-speedups that ``benchmarks/bench_wallclock.py`` persists to
-``BENCH_wallclock.json``.
+:func:`run_wallclock` runs them all (the cache benches on and off),
+computes the speedups and stamps the result with :func:`host_metadata`;
+``benchmarks/bench_wallclock.py`` persists it to ``BENCH_wallclock.json``.
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import statistics
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -120,7 +119,6 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
 
 def end_to_end(plan_cache: bool = True, n_functional: int = 24,
                steps: int = 12, gpus: int = 4,
-               workers: Optional[int] = None,
                macro_ops: Optional[bool] = None,
                fused_timeline: Optional[bool] = None) -> Dict[str, Any]:
     """Wall seconds of a small Somier run (whole stack, trace off).
@@ -136,15 +134,13 @@ def end_to_end(plan_cache: bool = True, n_functional: int = 24,
     res = run_somier("one_buffer", cfg, devices=machines.paper_devices(gpus),
                      topology=topo, cost_model=cm, trace=False,
                      plan_cache=plan_cache, macro_ops=macro_ops,
-                     fused_timeline=fused_timeline,
-                     workers=workers)
+                     fused_timeline=fused_timeline)
     wall = time.perf_counter() - t0
-    out = {
+    return {
         "plan_cache": plan_cache,
         "n_functional": n_functional,
         "steps": steps,
         "gpus": gpus,
-        "workers": res.stats["workers"],
         "wall_s": wall,
         "steps_per_s": steps / wall if wall else 0.0,
         "virtual_s": res.elapsed,
@@ -154,113 +150,6 @@ def end_to_end(plan_cache: bool = True, n_functional: int = 24,
         "macro_replays": res.stats["macro_replays"],
         "engine_fused_segments": res.stats["engine_fused_segments"],
         "engine_mean_batch": res.stats["engine_mean_batch"],
-    }
-    for key in ("executor_epochs", "executor_parallel_ops",
-                "executor_inline_fallbacks", "executor_inline_small_ops",
-                "executor_inline_small_bytes", "executor_min_bytes",
-                "executor_utilization"):
-        if key in res.stats:
-            out[key] = res.stats[key]
-    return out
-
-
-def workers_sweep(workers_list: Sequence[int] = (1, 2, 4),
-                  n_functional: int = 96, steps: int = 4,
-                  gpus: int = 4, repeats: int = 6) -> Dict[str, Any]:
-    """End-to-end wall time vs ``workers`` at a kernel-dominated size.
-
-    Uses a larger functional grid than the cache benchmark so the NumPy
-    kernel bodies and ``np.copyto`` payloads (the work the executor
-    offloads) dominate over directive lowering.  Speedups are relative to
-    ``workers=1`` (serial inline execution); results are bit-identical
-    across the sweep by construction, so only wall time varies.
-
-    Repeats are *interleaved* round-robin across the arms and each arm
-    takes its best (minimum) wall time: ambient load on a shared host
-    varies on multi-second scales, so running one arm's repeats
-    back-to-back hands an entire load burst to a single worker count and
-    fabricates an inversion.  Round-robin sampling exposes every arm to
-    the same load environments and the minimum discards additive noise.
-    The executor's size-aware small-op floor (``REPRO_EXECUTOR_MIN_BYTES``,
-    deliberately *not* pinned here) keeps sub-floor ops inline, so on a
-    single-core host the sweep is expected to be flat rather than
-    inverted — ``cpu_count`` is recorded so readers can judge the curve.
-    """
-    import os
-
-    runs: List[Optional[Dict[str, Any]]] = [None] * len(workers_list)
-    for _ in range(max(1, repeats)):
-        for i, w in enumerate(workers_list):
-            r = end_to_end(True, n_functional=n_functional, steps=steps,
-                           gpus=gpus, workers=w)
-            if runs[i] is None or r["wall_s"] < runs[i]["wall_s"]:
-                runs[i] = r
-    base = runs[0]["wall_s"]
-    for r in runs:
-        r["speedup_vs_1"] = base / r["wall_s"] if r["wall_s"] else 0.0
-    return {
-        "n_functional": n_functional,
-        "steps": steps,
-        "gpus": gpus,
-        "repeats": repeats,
-        "cpu_count": os.cpu_count(),
-        "runs": runs,
-        "best_speedup": max(r["speedup_vs_1"] for r in runs),
-    }
-
-
-def intervals_bench(n: int = 256, repeats: int = 5,
-                    seed: int = 12345) -> Dict[str, Any]:
-    """Scalar vs vectorized interval math (:mod:`repro.util.intervals`).
-
-    Times the all-pairs overlap test the executor's wave planner and the
-    sanitizer both reduce to: ``n`` pseudo-random byte intervals checked
-    pairwise with scalar :meth:`Interval.overlaps` vs one
-    :func:`batch_overlap_matrix` call over the packed ``(n, 2)`` array.
-    Both paths are asserted to agree before timing; each arm takes the
-    min over *repeats*.
-    """
-    from repro.util.intervals import (
-        Interval,
-        batch_overlap_matrix,
-        pack_intervals,
-    )
-
-    rng = np.random.default_rng(seed)
-    starts = rng.integers(0, 1 << 20, size=n)
-    widths = rng.integers(0, 4096, size=n)  # includes empty intervals
-    ivs = [Interval(int(s), int(s + w)) for s, w in zip(starts, widths)]
-    packed = pack_intervals(ivs)
-
-    scalar_mat = [[a.overlaps(b) for b in ivs] for a in ivs]
-    if not np.array_equal(np.array(scalar_mat),
-                          batch_overlap_matrix(packed, packed)):
-        raise AssertionError("scalar/vector overlap disagreement")
-
-    def best_of(fn) -> float:
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    scalar_s = best_of(
-        lambda: [[a.overlaps(b) for b in ivs] for a in ivs])
-    vector_s = best_of(
-        lambda: batch_overlap_matrix(packed, packed))
-    pack_s = best_of(lambda: pack_intervals(ivs))
-    pairs = n * n
-    return {
-        "n": n,
-        "pairs": pairs,
-        "repeats": repeats,
-        "scalar_s": scalar_s,
-        "vector_s": vector_s,
-        "pack_s": pack_s,
-        "scalar_pairs_per_s": pairs / scalar_s if scalar_s else 0.0,
-        "vector_pairs_per_s": pairs / vector_s if vector_s else 0.0,
-        "speedup": scalar_s / vector_s if vector_s else 0.0,
     }
 
 
@@ -396,14 +285,22 @@ def analyzer_overhead(runs: int = 3, n_functional: int = 24,
     }
 
 
+def host_metadata() -> Dict[str, Any]:
+    """The host the figures were measured on: cores, Python, NumPy, OS."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
 def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
                   launches: int = 5, n_functional: int = 24,
-                  steps: int = 12, workers_list: Sequence[int] = (1, 2, 4),
-                  sweep_n_functional: int = 96, sweep_steps: int = 4,
-                  analyzer_runs: int = 3,
+                  steps: int = 12, analyzer_runs: int = 3,
                   timestamp: Optional[str] = None) -> Dict[str, Any]:
     """The full track: microbench (macro on/off/no-cache) + end-to-end +
-    workers sweep + interval math + analyzer."""
+    engine + analyzer, stamped with the host metadata."""
     micro_on = launch_microbench(True, n=n, num_devices=num_devices,
                                  repeats=repeats, launches=launches)
     micro_macro_off = launch_microbench(True, n=n, num_devices=num_devices,
@@ -413,7 +310,7 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
                                   repeats=repeats, launches=launches)
     # Interleaved best-of: ambient load varies on multi-second scales, so
     # a single sample per arm can hand one arm an entire load burst and
-    # invert the ratio (the workers sweep docstring tells the same story).
+    # invert the ratio.
     e2e_on = e2e_off = e2e_fused_off = None
     for _ in range(3):
         on = end_to_end(True, n_functional=n_functional, steps=steps)
@@ -427,22 +324,18 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
         if e2e_fused_off is None or \
                 fused_off["wall_s"] < e2e_fused_off["wall_s"]:
             e2e_fused_off = fused_off
-    sweep = workers_sweep(workers_list, n_functional=sweep_n_functional,
-                          steps=sweep_steps)
-    ivals = intervals_bench()
     engine = engine_microbench()
     analyzer = analyzer_overhead(runs=analyzer_runs,
                                  n_functional=n_functional, steps=steps)
     return {
-        "schema": "repro-wallclock-5",
+        "schema": "repro-wallclock-6",
         "timestamp": timestamp,
+        "host": host_metadata(),
         "launch_microbench": {"cache_on": micro_on,
                               "macro_off": micro_macro_off,
                               "cache_off": micro_off},
         "end_to_end": {"cache_on": e2e_on, "cache_off": e2e_off,
                        "fused_off": e2e_fused_off},
-        "workers_sweep": sweep,
-        "intervals": ivals,
         "engine": engine,
         "analyzer_overhead": analyzer,
         "warm_launch_speedup":

@@ -138,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep macro replay but run chunks as generator "
                         "processes instead of fused timeline walkers "
                         "(default: $REPRO_FUSED_TIMELINE or on)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="size of the parallel host execution backend "
-                        "(real kernel/memcpy work on N threads; default: "
-                        "$REPRO_WORKERS or 1 = serial). Results and traces "
-                        "are identical for any N.")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="inject seeded faults, e.g. 'transfer:0.01' or "
                         "'device@1:#3' (default: $REPRO_FAULTS or off); "
@@ -198,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fused-timeline", action="store_true",
                    help="disable fused-timeline walkers "
                         "(default: $REPRO_FUSED_TIMELINE or on)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="parallel host backend width (default: "
-                        "$REPRO_WORKERS or 1)")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="inject seeded faults (default: $REPRO_FAULTS "
                         "or off)")
@@ -242,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fused-timeline", action="store_true",
                    help="disable fused-timeline walkers "
                         "(default: $REPRO_FUSED_TIMELINE or on)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="parallel host backend width (default: "
-                        "$REPRO_WORKERS or 1)")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="inject seeded faults (default: $REPRO_FAULTS "
                         "or off)")
@@ -344,7 +333,6 @@ def cmd_somier(args) -> int:
                      macro_ops=False if args.no_macro_ops else None,
                      fused_timeline=(False if args.no_fused_timeline
                                      else None),
-                     workers=args.workers,
                      faults=args.faults, fault_seed=args.fault_seed,
                      sanitize=args.sanitize,
                      analyze=args.analyze or None,
@@ -413,7 +401,6 @@ def cmd_stats(args) -> int:
                      macro_ops=False if args.no_macro_ops else None,
                      fused_timeline=(False if args.no_fused_timeline
                                      else None),
-                     workers=args.workers,
                      faults=args.faults, fault_seed=args.fault_seed,
                      sanitize=args.sanitize, analyze=True,
                      tools=prof.tools)
@@ -448,7 +435,6 @@ def cmd_analyze(args) -> int:
                      macro_ops=False if args.no_macro_ops else None,
                      fused_timeline=(False if args.no_fused_timeline
                                      else None),
-                     workers=args.workers,
                      faults=args.faults, fault_seed=args.fault_seed,
                      analyze=True,
                      tools=prof.tools if prof else ())

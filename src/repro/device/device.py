@@ -34,7 +34,6 @@ from repro.device.kernel import KernelSpec, LaunchConfig
 from repro.device.memory import Allocation, DeviceAllocator
 from repro.obs.tool import (DATA_OP, FAULT_EVENT, KERNEL_COMPLETE,
                             KERNEL_LAUNCH, ToolRegistry)
-from repro.sim import executor as hx
 from repro.sim import trace as tr
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Simulator
@@ -69,25 +68,6 @@ def _prov_meta(proc) -> dict:
         meta["attempt"] = retry[0]
         meta["retry_of"] = retry[1]
     return meta
-
-
-def _section_accesses(triples):
-    """Access set for ``(owner, key, write)`` array sections.
-
-    Returns None (→ the work item becomes an inline barrier) when any
-    section cannot be proven to be a view into its owner — advanced
-    indexing yields a copy, whose address says nothing about the owner.
-    """
-    out = []
-    for owner, key, write in triples:
-        view = owner if key is None else owner[key]
-        if view is not owner and view.base is None:
-            return None
-        acc = hx.array_access(view, write)
-        if acc is None:
-            return None
-        out.append(acc)
-    return tuple(out)
 
 
 class Device:
@@ -268,47 +248,22 @@ class Device:
         self.net_bytes += cost.bytes
         return net_start, net_end
 
-    # -- real work (decide here, execute via the backend) --------------------------
+    # -- functional payload ------------------------------------------------------
     #
-    # The two helpers below are the decide/do split for transfers: shapes
-    # and access sets are computed inline (decisions), the actual byte
-    # movement goes through Simulator.run_work, which either runs it on
-    # the spot (serial) or defers it into the parallel backend's window.
+    # Transfers keep copy semantics: the source sections are read into
+    # snapshots when the op stages them and written to the destination when
+    # it commits, so a writer landing in between never leaks into the copy.
 
-    def _snapshot_sections(self, sections, name: str):
-        """Allocate snapshot buffers for ``(owner, key)`` sections and
-        defer the reads that fill them."""
-        snaps = [np.empty_like(src[sk]) for src, sk in sections]
+    @staticmethod
+    def _snapshot_sections(sections):
+        """Copies of the ``(owner, key)`` sections as they are now."""
+        return [src[sk].copy() for src, sk in sections]
 
-        def work() -> None:
-            for snap, (src, sk) in zip(snaps, sections):
-                np.copyto(snap, src[sk])
-
-        def accesses():
-            acc = _section_accesses(
-                [(src, sk, False) for src, sk in sections])
-            if acc is None:
-                return None
-            return acc + tuple(hx.array_access(s, write=True) for s in snaps)
-
-        self.sim.run_work(work, accesses, name=name)
-        return snaps
-
-    def _commit_sections(self, targets, snapshots, name: str) -> None:
-        """Defer the writes ``owner[key] = snapshot`` for paired lists."""
-        def work() -> None:
-            for (dst, dk), snap in zip(targets, snapshots):
-                dst[dk] = snap
-
-        def accesses():
-            acc = _section_accesses(
-                [(dst, dk, True) for dst, dk in targets])
-            if acc is None:
-                return None
-            return acc + tuple(hx.array_access(s, write=False)
-                               for s in snapshots)
-
-        self.sim.run_work(work, accesses, name=name)
+    @staticmethod
+    def _commit_sections(targets, snapshots) -> None:
+        """Write ``owner[key] = snapshot`` for the paired lists."""
+        for (dst, dk), snap in zip(targets, snapshots):
+            dst[dk] = snap
 
     # -- transfers ---------------------------------------------------------------
 
@@ -377,8 +332,7 @@ class Device:
             if lead > 0:
                 yield self.sim.timeout(lead)
             snapshots = self._snapshot_sections(
-                [(src, sk) for src, sk, _d, _dk in copies],
-                name=f"{name}:stage")
+                [(src, sk) for src, sk, _d, _dk in copies])
         finally:
             self.staging.release(staging_req)
         # Inter-node hop: staged bytes travel root host -> this node's
@@ -409,7 +363,6 @@ class Device:
                         self.staging.release(req2)
 
                 helper = self.sim.process(hold_staging())
-                helper.work_safe = True
             try:
                 if cost.wire_time > 0:
                     yield self.sim.timeout(cost.wire_time)
@@ -419,8 +372,7 @@ class Device:
             if helper is not None:
                 yield helper
             self._commit_sections(
-                [(dst, dk) for _s, _sk, dst, dk in copies], snapshots,
-                name=f"{name}:commit")
+                [(dst, dk) for _s, _sk, dst, dk in copies], snapshots)
         finally:
             self.queue.release(queue_req)
         self.memcpy_calls += 1
@@ -484,7 +436,6 @@ class Device:
                         self.staging.release(req2)
 
                 helper = self.sim.process(hold_staging())
-                helper.work_safe = True
             try:
                 if cost.wire_time > 0:
                     yield self.sim.timeout(cost.wire_time)
@@ -494,8 +445,7 @@ class Device:
             if helper is not None:
                 yield helper
             snapshots = self._snapshot_sections(
-                [(src, sk) for src, sk, _d, _dk in copies],
-                name=f"{name}:stage")
+                [(src, sk) for src, sk, _d, _dk in copies])
         finally:
             self.queue.release(queue_req)
         # Inter-node hop: the drained bytes travel this node's staging
@@ -514,8 +464,7 @@ class Device:
             if tail > 0:
                 yield self.sim.timeout(tail)
             self._commit_sections(
-                [(dst, dk) for _s, _sk, dst, dk in copies], snapshots,
-                name=f"{name}:commit")
+                [(dst, dk) for _s, _sk, dst, dk in copies], snapshots)
         finally:
             self.staging.release(staging_req)
         self.memcpy_calls += 1
@@ -583,14 +532,7 @@ class Device:
         try:
             if cost.total > 0:
                 yield self.sim.timeout(cost.total)
-            # The functional body is the op's real work: run it through the
-            # backend (inline when serial).  Its access set conservatively
-            # writes every array reachable from the env and the spec's
-            # bound scalars — kernel bodies touch arrays only via their env.
-            self.sim.run_work(
-                lambda: spec.run(lo, hi, env),
-                lambda: hx.env_accesses(env, spec.scalars),
-                name=spec.name)
+            spec.run(lo, hi, env)
         finally:
             self.queue.release(req)
         self.kernels_launched += 1

@@ -30,16 +30,6 @@ metric                              populated from
                                     replay vs full lowering)
 ``present_memo_hits{device}``       ``data_op`` (present_memo_hit: last-hit
                                     present-table lookups)
-``executor_epochs``                 ``executor_epoch`` (executed waves of
-                                    the parallel host backend)
-``executor_parallel_ops``           ``executor_epoch`` (ops run on the pool)
-``executor_serial_ops``             ``executor_epoch`` (ops run inline)
-``executor_inline_fallbacks``       ``executor_epoch`` (ops forced inline by
-                                    aliasing/unprovable accesses)
-``executor_busy/span_seconds``      ``executor_epoch`` (wall-clock work vs
-                                    wave span)
-``executor_worker_utilization``     gauge: busy / (span × workers), over
-                                    parallel waves
 ``faults_injected{device,fault}``   ``fault_event`` (kind=inject)
 ``fault_retries{device}``           ``fault_event`` (kind=retry)
 ``fault_backoff_seconds``           ``fault_event`` (retry backoff charged
@@ -72,8 +62,6 @@ class MetricsTool(Tool):
         self.registry = registry if registry is not None else MetricsRegistry()
         self._directive_begin_t: Dict[int, float] = {}
         self._directive_kind: Dict[int, str] = {}
-        self._exec_parallel_busy = 0.0
-        self._exec_parallel_capacity = 0.0
 
     # -- devices ----------------------------------------------------------------
 
@@ -173,27 +161,6 @@ class MetricsTool(Tool):
         self.registry.timer("kernel_time", device=device).observe(end - start)
         self.registry.counter("queue_busy_seconds", device=device).inc(
             end - start)
-
-    # -- parallel host backend ----------------------------------------------------
-
-    def on_executor_epoch(self, *, ops: int, mode: str, workers: int,
-                          busy_s: float = 0.0, span_s: float = 0.0,
-                          inline: int = 0, **kw: Any) -> None:
-        reg = self.registry
-        reg.counter("executor_epochs").inc()
-        if mode == "parallel":
-            reg.counter("executor_parallel_ops").inc(ops)
-            self._exec_parallel_busy += busy_s
-            self._exec_parallel_capacity += span_s * workers
-            if self._exec_parallel_capacity > 0:
-                reg.gauge("executor_worker_utilization").set(
-                    self._exec_parallel_busy / self._exec_parallel_capacity)
-        else:
-            reg.counter("executor_serial_ops").inc(ops)
-        if inline:
-            reg.counter("executor_inline_fallbacks").inc(inline)
-        reg.counter("executor_busy_seconds").inc(busy_s)
-        reg.counter("executor_span_seconds").inc(span_s)
 
     # -- fault injection ----------------------------------------------------------
 

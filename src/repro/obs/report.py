@@ -120,28 +120,6 @@ class ProfileReport:
             })
         return rows
 
-    # -- parallel host backend ---------------------------------------------------
-
-    def executor_summary(self) -> Optional[Dict[str, Any]]:
-        """Wave/op counters of the parallel host backend, or None if the
-        run never produced an ``executor_epoch`` event (serial backend)."""
-        reg = self.registry
-        epochs = int(reg.counter_value("executor_epochs"))
-        if epochs == 0:
-            return None
-        util_gauges = reg.gauges("executor_worker_utilization")
-        return {
-            "epochs": epochs,
-            "parallel_ops": int(reg.counter_value("executor_parallel_ops")),
-            "serial_ops": int(reg.counter_value("executor_serial_ops")),
-            "inline_fallbacks": int(
-                reg.counter_value("executor_inline_fallbacks")),
-            "busy_s": reg.counter_value("executor_busy_seconds"),
-            "span_s": reg.counter_value("executor_span_seconds"),
-            "worker_utilization": (util_gauges[0].value
-                                   if util_gauges else 0.0),
-        }
-
     # -- event engine -------------------------------------------------------------
 
     def engine_summary(self) -> Optional[Dict[str, Any]]:
@@ -240,14 +218,6 @@ class ProfileReport:
             f"plan cache: {int(reg.sum_counter('plan_cache_hits')):d} hits,"
             f" {int(reg.sum_counter('plan_cache_misses')):d} misses",
         ]
-        ex = self.executor_summary()
-        if ex is not None:
-            totals.append(
-                f"executor: {ex['epochs']:d} epochs, "
-                f"{ex['parallel_ops']:d} parallel ops, "
-                f"{ex['serial_ops']:d} serial ops "
-                f"({ex['inline_fallbacks']:d} inline fallbacks), "
-                f"utilization {ex['worker_utilization']:.0%}")
         eng = self.engine_summary()
         if eng is not None:
             totals.append(
@@ -292,9 +262,6 @@ class ProfileReport:
             "devices": self.per_device_rows(),
             "counters": self.registry.snapshot(),
         }
-        ex = self.executor_summary()
-        if ex is not None:
-            payload["executor"] = ex
         eng = self.engine_summary()
         if eng is not None:
             payload["engine"] = eng

@@ -34,10 +34,6 @@ Callback points (→ closest OMPT event):
 ``plan_cache``            spread launch-plan cache hit/miss (no OMPT
                           equivalent; analogous to a runtime's launch-state
                           memoization trace records)
-``executor_epoch``        one executed wave of the parallel host backend
-                          (no OMPT equivalent; fired synchronously by
-                          :mod:`repro.sim.executor`, never touches the
-                          simulator)
 ``fault_event``           fault-injection lifecycle (no OMPT equivalent):
                           ``kind`` ∈ inject / retry / giveup /
                           device_lost / failover, fired by the device
@@ -72,9 +68,6 @@ KERNEL_LAUNCH = "kernel_launch"
 KERNEL_COMPLETE = "kernel_complete"
 DEVICE_INIT = "device_init"
 PLAN_CACHE = "plan_cache"
-# Kept in sync with repro.sim.executor.EXECUTOR_EPOCH (the executor sits
-# below the obs layer and must not import it).
-EXECUTOR_EPOCH = "executor_epoch"
 FAULT_EVENT = "fault_event"
 SANITIZER_OP = "sanitizer_op"
 SANITIZER_RACE = "sanitizer_race"
@@ -92,7 +85,6 @@ CALLBACK_POINTS = (
     KERNEL_COMPLETE,
     DEVICE_INIT,
     PLAN_CACHE,
-    EXECUTOR_EPOCH,
     FAULT_EVENT,
     SANITIZER_OP,
     SANITIZER_RACE,

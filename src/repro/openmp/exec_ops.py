@@ -488,9 +488,6 @@ def _issue_copies(rt, dev, copies, h2d: bool, fuse: bool,
         # layer for spread chunks.
         proc = dev.sim.process(
             _maybe_retry(rt, dev.device_id, factory, op, name), name=name)
-        # pure copy machinery: real work goes through run_work, so these
-        # resumptions need not close the parallel backend's work window
-        proc.work_safe = True
         procs.append(proc)
     yield dev.sim.all_of(procs)
 

@@ -29,7 +29,6 @@ from repro.openmp.depend import DependTracker
 from repro.openmp.tasks import TaskCtx
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Process, Simulator
-from repro.sim.executor import HostExecutor, resolve_executor_min_bytes
 from repro.sim.faults import FaultInjector, FaultRule, RetryPolicy
 from repro.sim.resources import Resource
 from repro.sim.topology import NodeTopology, cte_power_node, machine_from_env
@@ -37,28 +36,6 @@ from repro.sim.trace import Trace
 from repro.spread.plan_cache import SpreadPlanCache
 from repro.util import envknobs
 from repro.util.errors import OmpDeviceError, OmpRuntimeError
-
-
-def resolve_workers(workers: Optional[int]) -> int:
-    """Normalize and validate the ``workers`` knob.
-
-    ``None`` consults the ``REPRO_WORKERS`` environment variable (so CI can
-    flip the whole suite onto the parallel backend), defaulting to 1 — the
-    serial path.  Anything that is not a positive integer is rejected.
-    """
-    if workers is None:
-        try:
-            workers = envknobs.env_int("REPRO_WORKERS", default=1,
-                                       minimum=1)
-        except ValueError as err:
-            raise OmpRuntimeError(str(err))
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise OmpRuntimeError(
-            f"workers must be a positive integer, got {workers!r}")
-    if workers < 1:
-        raise OmpRuntimeError(
-            f"workers must be >= 1 (1 = serial execution), got {workers}")
-    return workers
 
 
 def resolve_macro_ops(macro_ops: Optional[bool]) -> bool:
@@ -158,8 +135,6 @@ class OpenMPRuntime:
                  plan_cache: bool = True,
                  macro_ops: Optional[bool] = None,
                  fused_timeline: Optional[bool] = None,
-                 workers: Optional[int] = None,
-                 executor_min_bytes: Optional[int] = None,
                  faults: FaultsSpec = None,
                  fault_seed: Optional[int] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -241,22 +216,6 @@ class OpenMPRuntime:
         #: (CLI ``--no-fused-timeline``, env ``REPRO_FUSED_TIMELINE=0``)
         #: forces the generator path.
         self.fused_timeline = resolve_fused_timeline(fused_timeline)
-        #: parallel host execution backend (repro.sim.executor): with
-        #: ``workers > 1`` the real NumPy work of kernels and transfers
-        #: runs on a thread pool; 1 keeps the serial inline path.
-        #: ``executor_min_bytes`` (env ``REPRO_EXECUTOR_MIN_BYTES``) is the
-        #: bytes-per-op floor below which ops run inline instead of
-        #: crossing the pool boundary.
-        self.workers = resolve_workers(workers)
-        self.executor: Optional[HostExecutor] = None
-        if self.workers > 1:
-            try:
-                min_bytes = resolve_executor_min_bytes(executor_min_bytes)
-            except ValueError as err:
-                raise OmpRuntimeError(str(err))
-            self.executor = HostExecutor(self.workers, tools=self.tools,
-                                         min_bytes=min_bytes)
-            self.sim.set_executor(self.executor)
         #: deterministic fault source shared by all devices (or None);
         #: ``faults``/``fault_seed`` default to $REPRO_FAULTS and
         #: $REPRO_FAULT_SEED (see :mod:`repro.sim.faults` for the grammar)
@@ -520,20 +479,16 @@ class OpenMPRuntime:
         if self.sanitizer is not None:
             root._san_proc = main
         self._tasks.append(main)
-        try:
-            result = self.sim.run(until=main)
-            # Drain stragglers (nowait tasks nobody joined).
-            self.sim.run()
-            self._raise_lost_failures()
-            if self.sanitizer is not None and self.sanitizer.strict \
-                    and self.sanitizer.reports:
-                from repro.util.errors import DataRaceError
+        result = self.sim.run(until=main)
+        # Drain stragglers (nowait tasks nobody joined).
+        self.sim.run()
+        self._raise_lost_failures()
+        if self.sanitizer is not None and self.sanitizer.strict \
+                and self.sanitizer.reports:
+            from repro.util.errors import DataRaceError
 
-                raise DataRaceError(self.sanitizer.summary())
-            return result
-        finally:
-            if self.executor is not None:
-                self.executor.shutdown()
+            raise DataRaceError(self.sanitizer.summary())
+        return result
 
     def _raise_lost_failures(self) -> None:
         unfinished = [p for p in self._tasks if not p.triggered]

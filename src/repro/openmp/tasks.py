@@ -181,10 +181,6 @@ class TaskCtx:
                 self._task_completed(tid, task_name)
 
         proc = self.sim.process(body(), name=task_name)
-        # Device-operation bodies only register deferred real work — they
-        # never observe host arrays inline — so resuming them must not
-        # close the parallel backend's work window (see Process.work_safe).
-        proc.work_safe = True
         san = self.rt.sanitizer
         if san is not None:
             # Every happens-before source of this op is fixed here: the

@@ -154,7 +154,7 @@ class Process(Event):
     Other processes can therefore ``yield proc`` to join it.
     """
 
-    __slots__ = ("gen", "name", "work_safe", "san_clock", "prov", "retry",
+    __slots__ = ("gen", "name", "san_clock", "prov", "retry",
                  "cp_heads", "_waiting_on", "_interrupts")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "",
@@ -176,11 +176,6 @@ class Process(Event):
         self.prov = parent.prov if parent is not None else None
         self.retry = parent.retry if parent is not None else 0
         self.cp_heads = parent.cp_heads if parent is not None else ()
-        # Processes that only *register* deferred real work (device
-        # operations) and never observe host arrays inline set this True;
-        # resuming any other process closes the current work window so the
-        # arrays it may read are up to date (see Simulator.run_work).
-        self.work_safe = False
         # Interrupt queue, allocated lazily on the first interrupt() —
         # the overwhelming majority of processes are never interrupted.
         self._interrupts: Optional[Deque[Interrupt]] = None
@@ -200,7 +195,7 @@ class Process(Event):
                    prov) -> "Process":
         """Slim constructor for the macro-replay fast path.
 
-        Builds a deferred, work-safe task process with explicit provenance
+        Builds a deferred task process with explicit provenance
         in one pass over the slots — no ``super().__init__`` dispatch, no
         name fallback, no parent ``prov`` read (the caller supplies it).
         ``retry``/``cp_heads`` inherit from the spawning process exactly as
@@ -225,7 +220,6 @@ class Process(Event):
             self.retry = 0
             self.cp_heads = ()
         self.prov = prov
-        self.work_safe = True
         self._interrupts = None
         self._waiting_on = sim._proc_init
         return self
@@ -273,16 +267,6 @@ class Process(Event):
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         self.sim.current_process = self
-        if not self.work_safe:
-            ex = self.sim._executor
-            if ex is not None and ex.pending:
-                try:
-                    ex.flush()
-                except BaseException as err:  # noqa: BLE001
-                    # A deferred kernel/copy body failed; deliver it into
-                    # the resuming process, where the serial backend would
-                    # have surfaced it.
-                    value, exc = None, err
         while True:
             try:
                 if self._interrupts:
@@ -462,10 +446,6 @@ class Simulator:
         self.timeouts_reused = 0
         self.calls_created = 0
         self.calls_reused = 0
-        # Optional parallel host backend (repro.sim.executor.HostExecutor).
-        # The engine never imports it: anything with submit/flush/pending
-        # works, which keeps this module free of NumPy and pool concerns.
-        self._executor: Any = None
         # Optional race-sanitizer join hook: called as hook(process, event)
         # whenever a process receives a completed event, so the sanitizer
         # can merge the event's clock into the process (happens-before
@@ -551,48 +531,6 @@ class Simulator:
             return
         self._push(self.now, _Batch(fns))
         self.events_scheduled += n - 1  # _push counted one
-
-    # -- real (host) work -------------------------------------------------------
-
-    @property
-    def executor(self) -> Any:
-        """The attached parallel host backend, or None (serial)."""
-        return self._executor
-
-    def set_executor(self, executor: Any) -> None:
-        """Attach a :class:`repro.sim.executor.HostExecutor` (or None)."""
-        self._executor = executor
-        if executor is not None:
-            executor.sim = self
-
-    def run_work(self, fn: Callable[[], None], accesses: Any = None,
-                 name: str = "") -> None:
-        """Execute real host work attached to the current simulated op.
-
-        With no executor attached this is exactly ``fn()`` — the serial
-        backend.  With one, *fn* is deferred into the current epoch window;
-        *accesses* is the work item's access set (or a zero-argument
-        callable producing it, evaluated only on this path, so the serial
-        hot path pays nothing for access extraction).
-        """
-        ex = self._executor
-        if ex is None:
-            fn()
-            return
-        if getattr(ex, "inline_all", False):
-            # Nothing ever crosses the pool under an inline-all floor, so
-            # don't even evaluate the accesses thunk — extraction would be
-            # pure overhead on every op.
-            fn()
-            ex.inline_small_ops += 1
-            return
-        ex.submit(fn, accesses() if callable(accesses) else accesses, name)
-
-    def flush_work(self) -> None:
-        """Force any deferred real work to execute now."""
-        ex = self._executor
-        if ex is not None and ex.pending:
-            ex.flush()
 
     # -- factories -------------------------------------------------------------
 
@@ -760,9 +698,6 @@ class Simulator:
             return None
         finally:
             self._running = False
-            # Close the work window at the run boundary: whoever called
-            # run() is host code and may observe arrays next.
-            self.flush_work()
 
     def engine_stats(self) -> dict:
         """Dispatch/allocation counters for the engine_* metrics."""

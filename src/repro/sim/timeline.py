@@ -35,7 +35,6 @@ from typing import Any, List, Optional
 import numpy as np
 
 from repro.device.device import _prov_meta
-from repro.sim import executor as hx
 from repro.sim import trace as tr
 from repro.sim.engine import Process
 
@@ -191,7 +190,6 @@ class TimelineProc(_Walker):
             self.retry = 0
             self.cp_heads = ()
         self.prov = prov
-        self.work_safe = True
         self._interrupts = None
         self._waiting_on = sim._proc_init
         self.rt = rt
@@ -289,10 +287,7 @@ class TimelineProc(_Walker):
         req = self._req
         kenv = self.kenv
         try:
-            sim.run_work(
-                lambda: kernel.run(rec.lo, rec.hi, kenv),
-                lambda: hx.env_accesses(kenv, kernel.scalars),
-                name=kernel.name)
+            kernel.run(rec.lo, rec.hi, kenv)
         except BaseException as err:  # noqa: BLE001 - deliver via event
             dev.queue.release(req)
             self._req = None
@@ -405,7 +400,6 @@ class _CopyProc(_Walker):
             self.prov = None
             self.retry = 0
             self.cp_heads = ()
-        self.work_safe = True
         self._interrupts = None
         self._waiting_on = sim._proc_init
         self.dev = dev
@@ -483,8 +477,7 @@ class CopyH2D(_CopyProc):
             staging_req = self._staging_req
             self._staging_req = None
             try:
-                self._snaps = dev._snapshot_sections(
-                    [(self.src, self.sk)], name=f"{self.name}:stage")
+                self._snaps = dev._snapshot_sections([(self.src, self.sk)])
             except BaseException as err:  # noqa: BLE001 - deliver via event
                 dev.staging.release(staging_req)
                 self.fail(err)
@@ -516,8 +509,7 @@ class CopyH2D(_CopyProc):
         dev.link.release(self._link_req)
         self._link_req = None
         try:
-            dev._commit_sections([(self.dst, self.dk)], self._snaps,
-                                 name=f"{self.name}:commit")
+            dev._commit_sections([(self.dst, self.dk)], self._snaps)
         except BaseException as err:  # noqa: BLE001 - deliver via event
             dev.queue.release(self._queue_req)
             self._queue_req = None
@@ -622,8 +614,7 @@ class CopyD2H(_CopyProc):
             queue_req = self._queue_req
             self._queue_req = None
             try:
-                self._snaps = dev._snapshot_sections(
-                    [(self.src, self.sk)], name=f"{self.name}:stage")
+                self._snaps = dev._snapshot_sections([(self.src, self.sk)])
             except BaseException as err:  # noqa: BLE001 - deliver via event
                 dev.queue.release(queue_req)
                 self.fail(err)
@@ -642,8 +633,7 @@ class CopyD2H(_CopyProc):
         staging_req = self._staging_req
         self._staging_req = None
         try:
-            dev._commit_sections([(self.dst, self.dk)], self._snaps,
-                                 name=f"{self.name}:commit")
+            dev._commit_sections([(self.dst, self.dk)], self._snaps)
         except BaseException as err:  # noqa: BLE001 - deliver via event
             dev.staging.release(staging_req)
             self.fail(err)

@@ -74,7 +74,6 @@ def run_somier(impl: str, config: SomierConfig,
                plan_cache: bool = True,
                macro_ops: Optional[bool] = None,
                fused_timeline: Optional[bool] = None,
-               workers: Optional[int] = None,
                faults: Optional[str] = None,
                fault_seed: Optional[int] = None,
                sanitize=None,
@@ -103,9 +102,6 @@ def run_somier(impl: str, config: SomierConfig,
     replay but runs every chunk as a generator process instead of a fused
     timeline walker; None consults ``REPRO_FUSED_TIMELINE`` — see
     :mod:`repro.sim.timeline`.
-    ``workers`` (CLI ``--workers``) sizes the parallel host execution
-    backend; None consults ``REPRO_WORKERS``, and 1 (the default) keeps
-    the serial inline path.  Results and traces are identical either way.
     ``faults``/``fault_seed`` (CLI ``--faults``/``--fault-seed``) enable
     seeded fault injection; None consults ``REPRO_FAULTS`` and
     ``REPRO_FAULT_SEED`` — see :mod:`repro.sim.faults`.
@@ -134,7 +130,6 @@ def run_somier(impl: str, config: SomierConfig,
                        taskgroup_global_drain=taskgroup_global_drain,
                        plan_cache=plan_cache, macro_ops=macro_ops,
                        fused_timeline=fused_timeline,
-                       workers=workers,
                        faults=faults, fault_seed=fault_seed,
                        sanitize=sanitize, analyze=analyze)
     devs = list(devices) if devices is not None else list(range(topo.num_devices))
@@ -173,7 +168,6 @@ def run_somier(impl: str, config: SomierConfig,
         "plan_cache_misses": rt.plan_cache.misses,
         "macro_compiles": rt.plan_cache.macro_compiles,
         "macro_replays": rt.plan_cache.macro_replays,
-        "workers": rt.workers,
     }
     engine = rt.sim.engine_stats()
     stats.update({
@@ -204,17 +198,6 @@ def run_somier(impl: str, config: SomierConfig,
             "causal_ops": rt.causal.ops,
             "causal_dep_edges": rt.causal.dep_edge_count,
             "causal_res_edges": len(rt.causal.res_edges),
-        })
-    if rt.executor is not None:
-        stats.update({
-            "executor_epochs": rt.executor.epochs,
-            "executor_parallel_ops": rt.executor.parallel_ops,
-            "executor_serial_ops": rt.executor.serial_ops,
-            "executor_inline_fallbacks": rt.executor.inline_fallbacks,
-            "executor_inline_small_ops": rt.executor.inline_small_ops,
-            "executor_inline_small_bytes": rt.executor.inline_small_bytes,
-            "executor_min_bytes": rt.executor.min_bytes,
-            "executor_utilization": rt.executor.utilization,
         })
     for t in tools:
         if isinstance(t, MetricsTool):

@@ -144,18 +144,6 @@ class SpreadPlanCache:
         except TypeError:  # unhashable key component: skip silently
             pass
 
-    def get_macro(self, key: Any) -> Any:
-        """Compiled macro program for *key* (or the False sentinel)."""
-        cell = self._plans.get(key)
-        return cell[1] if cell is not None else None
-
-    def store_macro(self, key: Any, prog: Any) -> None:
-        if key is None or not self.enabled:
-            return
-        cell = self._plans.get(key)
-        if cell is not None:
-            cell[1] = prog
-
     def clear(self) -> None:
         self._plans.clear()
 

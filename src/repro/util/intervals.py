@@ -7,14 +7,11 @@ spec's restriction against extending an already-mapped section).
 
 All intervals are half-open ``[start, stop)`` over Python ints.
 
-Besides the scalar :class:`Interval` algebra, the module provides NumPy
-*batch* helpers over packed ``(n, 2)`` bound arrays — the representation the
-macro-op replay engine (:mod:`repro.spread.macro`) and the executor's wave
-planner (:mod:`repro.sim.executor`) use, where per-op Python loops would
-dominate.  The batch predicates reproduce the scalar semantics exactly
-(empty intervals never overlap, contain everything and are contained
-everywhere); ``tests/util/test_intervals.py`` cross-checks them against the
-scalar implementations.
+Besides the scalar :class:`Interval` algebra, the module packs intervals
+into ``(n, 2)`` NumPy bound arrays — the representation the macro-op replay
+engine (:mod:`repro.spread.macro`) uses, where per-op Python loops would
+dominate.  ``batch_widths`` matches ``len(Interval)`` exactly (empty
+intervals clamp to 0); ``tests/util/test_intervals.py`` cross-checks it.
 """
 
 from __future__ import annotations
@@ -219,11 +216,7 @@ class IntervalSet:
 # -- NumPy batch helpers ------------------------------------------------------
 #
 # Packed representation: an ``(n, 2)`` int64 array of ``[start, stop)`` bound
-# pairs.  The helpers below are drop-in batch versions of the scalar
-# predicates above; keeping them next to the scalar algebra (rather than in
-# each consumer) is what lets the macro-op compiler, the executor wave
-# planner and ``benchmarks/bench_intervals.py`` share one audited
-# implementation.
+# pairs, as the macro-op compiler stores per-chunk map intervals.
 
 
 def pack_intervals(intervals: Sequence[Interval]) -> np.ndarray:
@@ -236,46 +229,6 @@ def pack_intervals(intervals: Sequence[Interval]) -> np.ndarray:
     return out
 
 
-def unpack_intervals(packed: np.ndarray) -> List[Interval]:
-    """Inverse of :func:`pack_intervals` (bounds cast back to Python ints)."""
-    return [Interval(int(lo), int(hi)) for lo, hi in packed]
-
-
 def batch_widths(packed: np.ndarray) -> np.ndarray:
     """Element counts per packed interval (empty intervals clamp to 0)."""
     return np.maximum(packed[:, 1] - packed[:, 0], 0)
-
-
-def batch_overlap_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(n, m)`` bool matrix: does ``a[i]`` overlap ``b[j]``?
-
-    Matches :meth:`Interval.overlaps` exactly — empty intervals on either
-    side never overlap anything.
-    """
-    a_start = a[:, 0:1]
-    a_stop = a[:, 1:2]
-    b_start = b[:, 0].reshape(1, -1)
-    b_stop = b[:, 1].reshape(1, -1)
-    return ((a_start < a_stop) & (b_start < b_stop)
-            & (a_start < b_stop) & (b_start < a_stop))
-
-
-def batch_any_overlap(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if any interval in *a* overlaps any interval in *b*."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return False
-    return bool(batch_overlap_matrix(a, b).any())
-
-
-def batch_contains(container: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """``(n, m)`` bool matrix: does ``container[i]`` contain ``items[j]``?
-
-    Matches :meth:`Interval.contains` — empty items are contained
-    everywhere (they are the empty set).
-    """
-    c_start = container[:, 0:1]
-    c_stop = container[:, 1:2]
-    i_start = items[:, 0].reshape(1, -1)
-    i_stop = items[:, 1].reshape(1, -1)
-    empty_item = i_start >= i_stop
-    return empty_item | ((c_start <= i_start) & (i_stop <= c_stop))

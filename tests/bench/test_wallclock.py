@@ -1,39 +1,39 @@
 """Smoke tests for the wall-clock track (tiny sizes; numbers not asserted)."""
 
-from repro.bench.wallclock import end_to_end, workers_sweep
+import json
+import pathlib
+
+from repro.bench.wallclock import end_to_end, host_metadata
+
+COMMITTED = pathlib.Path(__file__).resolve().parents[2] / "BENCH_wallclock.json"
 
 
 class TestEndToEnd:
-    def test_serial_record_shape(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_serial_record_shape(self):
         r = end_to_end(True, n_functional=24, steps=1)
-        assert r["workers"] == 1
         assert r["wall_s"] > 0
-        assert "executor_epochs" not in r
-
-    def test_parallel_record_carries_executor_stats(self, monkeypatch):
-        # Pin the small-op floor off so pooling engages even on a
-        # single-core container (where the default floor inlines all ops).
-        monkeypatch.setenv("REPRO_EXECUTOR_MIN_BYTES", "0")
-        r = end_to_end(True, n_functional=24, steps=1, workers=2)
-        assert r["workers"] == 2
-        assert r["executor_epochs"] > 0
-        assert r["executor_parallel_ops"] > 0
-
-    def test_parallel_record_inline_floor(self, monkeypatch):
-        # With an effectively infinite floor every op runs inline on the
-        # submitting thread; the record reports the inline counters.
-        monkeypatch.setenv("REPRO_EXECUTOR_MIN_BYTES", str(1 << 62))
-        r = end_to_end(True, n_functional=24, steps=1, workers=2)
-        assert r["workers"] == 2
-        assert r["executor_parallel_ops"] == 0
-        assert r["executor_inline_small_ops"] > 0
+        assert r["virtual_s"] > 0
+        assert "workers" not in r
+        assert not any(k.startswith("executor_") for k in r)
 
 
-class TestWorkersSweep:
-    def test_sweep_structure_and_speedups(self):
-        s = workers_sweep((1, 2), n_functional=24, steps=1)
-        assert [r["workers"] for r in s["runs"]] == [1, 2]
-        assert s["runs"][0]["speedup_vs_1"] == 1.0
-        assert s["cpu_count"] >= 1
-        assert s["best_speedup"] > 0
+class TestHostMetadata:
+    def test_keys(self):
+        host = host_metadata()
+        assert set(host) == {"cpu_count", "python", "numpy", "platform"}
+        assert host["cpu_count"] >= 1
+
+
+class TestCommittedBench:
+    def test_schema_and_keys(self):
+        doc = json.loads(COMMITTED.read_text())
+        assert doc["schema"] == "repro-wallclock-6"
+        assert set(doc["host"]) == {"cpu_count", "python", "numpy",
+                                    "platform"}
+        # exactly these blocks: the retired sweep and microbench keys of
+        # earlier schemas must not linger in the committed file
+        assert set(doc) == {
+            "schema", "timestamp", "host", "launch_microbench",
+            "end_to_end", "engine", "analyzer_overhead",
+            "warm_launch_speedup", "warm_macro_speedup",
+            "end_to_end_speedup", "fused_e2e_speedup"}

@@ -44,8 +44,7 @@ CFG = SomierConfig(n=18, steps=3)
 def _hermetic_env(monkeypatch):
     """The CI legs (``REPRO_ANALYZE=1``, ``REPRO_FAULTS=...``) must not
     leak into the explicit baselines these scenarios construct."""
-    for var in ("REPRO_ANALYZE", "REPRO_FAULTS", "REPRO_FAULT_SEED",
-                "REPRO_WORKERS"):
+    for var in ("REPRO_ANALYZE", "REPRO_FAULTS", "REPRO_FAULT_SEED"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -149,12 +148,6 @@ class TestBitIdentity:
         on = run(analyze=True)
         assert on.stats["causal_ops"] > 0
         assert_bit_identical(off, on)
-
-    def test_analyze_identical_across_worker_counts(self):
-        serial = run(analyze=True, workers=1)
-        parallel = run(analyze=True, workers=4)
-        assert_bit_identical(serial, parallel)
-        assert serial.stats["causal_ops"] == parallel.stats["causal_ops"]
 
     def test_analyze_identical_under_faults_and_failover(self):
         spec = dict(faults="device@1:#10", fault_seed=7)

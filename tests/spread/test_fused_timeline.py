@@ -6,7 +6,7 @@ virtual-time segments advanced in single dispatches instead of generator
 round-trips.  The acceptance contract mirrors macro replay's, one level
 down — the walker path must be observationally indistinguishable from
 the generator path.  Same ``virtual_s`` to the bit, same trace events,
-same results, across implementations, spread modes, worker counts, and
+same results, across implementations, spread modes, and
 every observation fallback (sanitizer, analyzer, fault injection), where
 the walkers must disengage entirely (``fused_segments == 0``).
 """
@@ -19,8 +19,18 @@ from repro.bench.machines import (
     paper_machine,
     paper_somier_config,
 )
+from repro.device.kernel import KernelSpec
+from repro.openmp import Map, OpenMPRuntime, Var
 from repro.openmp.runtime import resolve_fused_timeline
+from repro.sim.timeline import TimelineProc
+from repro.sim.topology import cte_power_node
 from repro.somier.driver import run_somier
+from repro.spread import (
+    omp_spread_size,
+    omp_spread_start,
+    target_enter_data_spread,
+    target_spread_teams_distribute_parallel_for,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -64,13 +74,11 @@ MATRIX = [
     ("one_buffer", {}),
     ("one_buffer", dict(data_depend=True)),
     ("one_buffer", dict(fuse_transfers=True)),
-    ("one_buffer", dict(workers=2)),
     # half-buffer impls keep two chunks resident: need the larger grid
     ("two_buffers", dict(n=48)),
     ("two_buffers", dict(n=48, data_depend=True)),
     ("double_buffering", dict(n=48)),
     ("double_buffering", dict(n=48, data_depend=True)),
-    ("double_buffering", dict(n=48, workers=4)),
 ]
 
 
@@ -122,6 +130,55 @@ class TestFallbacks:
         assert on.stats["engine_fused_segments"] == 0
         assert on.stats["faults_injected"] == off.stats["faults_injected"]
         _assert_identical(on, off)
+
+
+class TestWalkerErrors:
+    def test_warm_nowait_kernel_error_surfaces_at_taskwait(self):
+        """A kernel body raising on a warm, macro-replayed ``nowait``
+        launch runs on a timeline walker; the walker must release the
+        device queue and fail, so the original exception reaches the
+        ``taskwait`` that joins it."""
+        S, Z = omp_spread_start, omp_spread_size
+        n, devices, warm = 64, [0, 1, 2, 3], 3
+        rt = OpenMPRuntime(topology=cte_power_node(4, memory_bytes=1e9),
+                           trace_enabled=False)
+        vA, vB = Var("A", np.arange(float(n))), Var("B", np.zeros(n))
+        state = {"fail": False}
+        failed_on, surfaced = [], []
+
+        def body(lo, hi, env):
+            if state["fail"]:
+                failed_on.append(rt.sim.current_process)
+                raise ZeroDivisionError("warm chunk")
+            env["B"][lo:hi] = env["A"][lo:hi] * 2.0
+
+        kern = KernelSpec("double", body)
+
+        def program(omp):
+            yield from target_enter_data_spread(
+                omp, devices, (0, n), None,
+                [Map.to(vA, (S, Z)), Map.alloc(vB, (S, Z))])
+            for i in range(warm + 1):
+                state["fail"] = i == warm
+                yield from target_spread_teams_distribute_parallel_for(
+                    omp, kern, 0, n, devices,
+                    maps=[Map.to(vA, (S, Z)), Map.from_(vB, (S, Z))],
+                    nowait=True)
+                try:
+                    yield from omp.taskwait()
+                except ZeroDivisionError:
+                    surfaced.append(i)
+                    raise
+
+        with pytest.raises(ZeroDivisionError, match="warm chunk"):
+            rt.run(program)
+        assert surfaced == [warm]
+        assert rt.plan_cache.macro_replays > 0
+        assert rt.sim.fused_segments > 0
+        assert failed_on and all(isinstance(p, TimelineProc)
+                                 for p in failed_on)
+        # the failing walkers handed their device queue slots back
+        assert all(p.dev.queue.in_use == 0 for p in failed_on)
 
 
 class TestKnob:

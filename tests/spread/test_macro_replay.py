@@ -6,7 +6,7 @@ be observationally indistinguishable from re-walking the cached plan
 through the object path.  Same virtual clock, same trace events, same
 results, same sanitizer/analyzer output — with the cache on or off, with
 macro replay on (``REPRO_MACRO_OPS`` default) or off (``--no-macro-ops``),
-at every worker count, and across seeded device-loss failover.
+and across seeded device-loss failover.
 """
 
 import numpy as np
@@ -156,14 +156,6 @@ class TestBitIdentity:
         rt_cold, _, B_cold, X_cold = _composite_run(True, plan_cache=False)
         assert rt_cold.plan_cache.macro_replays == 0
         _assert_identical(rt_on, rt_cold, (B_on, X_on), (B_cold, X_cold))
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_workers_sweep_identity(self, workers, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR_MIN_BYTES", "0")
-        rt_on, _, B_on, X_on = _composite_run(True, workers=workers)
-        rt_off, _, B_off, X_off = _composite_run(False, workers=workers)
-        assert rt_on.plan_cache.macro_replays > 0
-        _assert_identical(rt_on, rt_off, (B_on, X_on), (B_off, X_off))
 
     def test_depend_replay_identity(self):
         """Two-phase DependTracker replay matches submit_spread's."""

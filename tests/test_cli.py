@@ -178,62 +178,12 @@ class TestParser:
             build_parser().parse_args([])
 
 
-class TestWorkersFlag:
-    def test_somier_accepts_workers(self, capsys):
-        rc = main(["somier", "--impl", "one_buffer", "--gpus", "2",
-                   "--n-functional", "24", "--steps", "2", "--verify",
-                   "--workers", "2"])
-        assert rc == 0
-        assert "bitwise identical" in capsys.readouterr().out
-
-    def test_stats_accepts_workers(self, capsys, monkeypatch):
-        import json
-
-        # Pin the small-op floor off so the pool actually runs epochs
-        # (the report's executor block) even on a single-core host.
-        monkeypatch.setenv("REPRO_EXECUTOR_MIN_BYTES", "0")
-        rc = main(["stats", "--impl", "one_buffer", "--gpus", "2",
-                   "--n-functional", "24", "--steps", "1", "--json",
-                   "--workers", "2"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "executor" in payload
-
-    def test_invalid_workers_is_clean_error(self, capsys):
-        rc = main(["somier", "--impl", "one_buffer", "--gpus", "2",
-                   "--n-functional", "24", "--steps", "1",
-                   "--workers", "0"])
-        assert rc == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
-
-    def test_workers_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["somier", "--help"])
-        assert "--workers" in capsys.readouterr().out
-
-
-class TestWorkersEnv:
-    def test_invalid_env_value_is_clean_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "abc")
-        rc = main(["somier", "--impl", "one_buffer", "--gpus", "2",
-                   "--n-functional", "24", "--steps", "1"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "REPRO_WORKERS" in err
-        assert "'abc'" in err
-
-    def test_empty_env_value_means_serial(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "")
-        rc = main(["somier", "--impl", "one_buffer", "--gpus", "2",
-                   "--n-functional", "24", "--steps", "1"])
-        assert rc == 0
-
-    def test_cli_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "abc")  # never consulted
-        rc = main(["somier", "--impl", "one_buffer", "--gpus", "2",
-                   "--n-functional", "24", "--steps", "1",
-                   "--workers", "2"])
-        assert rc == 0
+class TestRemovedFlags:
+    def test_workers_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["somier", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestFaultsFlag:

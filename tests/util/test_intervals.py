@@ -235,9 +235,9 @@ class TestIntervalSetEdgeCases:
 
 
 class TestBatchHelpers:
-    """The NumPy batch helpers must agree with the scalar algebra
-    pointwise — the macro-op replay engine and the executor's wave
-    planner both substitute them for per-pair Interval calls."""
+    """The NumPy packing helpers must agree with the scalar algebra
+    pointwise — the macro-op replay engine substitutes them for
+    per-interval Python loops."""
 
     def _random_intervals(self, n=60, seed=99):
         import numpy as np
@@ -249,13 +249,14 @@ class TestBatchHelpers:
                 for s, w in zip(starts, widths)]
 
     def test_pack_unpack_roundtrip(self):
-        from repro.util.intervals import pack_intervals, unpack_intervals
+        from repro.util.intervals import pack_intervals
 
         ivs = self._random_intervals()
         packed = pack_intervals(ivs)
         assert packed.shape == (len(ivs), 2)
         assert packed.dtype.kind == "i"
-        assert unpack_intervals(packed) == ivs
+        assert [tuple(row) for row in packed.tolist()] == \
+            [(iv.start, iv.stop) for iv in ivs]
 
     def test_pack_empty_sequence(self):
         from repro.util.intervals import batch_widths, pack_intervals
@@ -270,45 +271,3 @@ class TestBatchHelpers:
         ivs = self._random_intervals()
         widths = batch_widths(pack_intervals(ivs))
         assert list(widths) == [len(iv) for iv in ivs]
-
-    def test_overlap_matrix_matches_scalar(self):
-        import numpy as np
-
-        from repro.util.intervals import batch_overlap_matrix, pack_intervals
-
-        ivs = self._random_intervals()
-        packed = pack_intervals(ivs)
-        mat = batch_overlap_matrix(packed, packed)
-        scalar = np.array([[a.overlaps(b) for b in ivs] for a in ivs])
-        assert np.array_equal(mat, scalar)
-
-    def test_contains_matrix_matches_scalar(self):
-        import numpy as np
-
-        from repro.util.intervals import batch_contains, pack_intervals
-
-        ivs = self._random_intervals()
-        packed = pack_intervals(ivs)
-        mat = batch_contains(packed, packed)
-        scalar = np.array([[a.contains(b) for b in ivs] for a in ivs])
-        assert np.array_equal(mat, scalar)
-
-    def test_any_overlap(self):
-        from repro.util.intervals import batch_any_overlap, pack_intervals
-
-        a = pack_intervals([Interval(0, 4), Interval(10, 12)])
-        b = pack_intervals([Interval(4, 10)])
-        assert not batch_any_overlap(a, b)  # touching is not overlap
-        c = pack_intervals([Interval(3, 5)])
-        assert batch_any_overlap(a, c)
-        empty = pack_intervals([])
-        assert not batch_any_overlap(a, empty)
-        assert not batch_any_overlap(empty, a)
-
-    def test_empty_intervals_never_overlap(self):
-        from repro.util.intervals import batch_overlap_matrix, pack_intervals
-
-        packed = pack_intervals([Interval(5, 5), Interval(0, 10)])
-        mat = batch_overlap_matrix(packed, packed)
-        assert not mat[0].any() and not mat[:, 0].any()
-        assert mat[1, 1]
