@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     ap.add_argument("--min-warm-speedup", type=float, default=None,
                     metavar="X",
                     help="fail (exit 1) if the warm-launch speedup of the "
-                         "cached+macro path over the uncached path falls "
+                         "cached path over the uncached path falls "
                          "below X (the plan-cache/macro-replay regression "
                          "gate; CI uses 5)")
     ap.add_argument("--min-e2e-speedup", type=float, default=None,
@@ -74,19 +74,12 @@ def main(argv=None) -> int:
           f"NumPy {host['numpy']}, {host['platform']}")
     micro = result["launch_microbench"]
     on, off = micro["cache_on"], micro["cache_off"]
-    macro_off = micro["macro_off"]
-    print(f"warm launch (macro on):  {on['warm_launch_s'] * 1e6:8.1f} us "
+    print(f"warm launch (cache on):  {on['warm_launch_s'] * 1e6:8.1f} us "
           f"({on['warm_launches_per_s']:.0f} launches/s, "
           f"{on['macro_replays']} replays / {on['macro_compiles']} compiles)")
-    print(f"warm launch (macro off): {macro_off['warm_launch_s'] * 1e6:8.1f} us "
-          f"({macro_off['warm_launches_per_s']:.0f} launches/s, "
-          f"{macro_off['cache_hits']} hits / "
-          f"{macro_off['cache_misses']} misses)")
     print(f"warm launch (cache off): {off['warm_launch_s'] * 1e6:8.1f} us "
           f"({off['warm_launches_per_s']:.0f} launches/s)")
-    print(f"warm-launch speedup:     {result['warm_launch_speedup']:.2f}x "
-          f"(macro replay vs object path: "
-          f"{result['warm_macro_speedup']:.2f}x)")
+    print(f"warm-launch speedup:     {result['warm_launch_speedup']:.2f}x")
     e2e = result["end_to_end"]
     print(f"end-to-end somier:       "
           f"{e2e['cache_on']['wall_s']:.3f}s on vs "
@@ -111,6 +104,11 @@ def main(argv=None) -> int:
           f"({ana['recording_overhead']:+.1%}, budget "
           f"{ana['overhead_target']:.0%}); analysis {ana['analysis_s']:.3f}s "
           f"over {ana['events']} events / {ana['dep_edges']} dep edges")
+    print(f"--analyze vs default:    "
+          f"{ana['analyze_wall_s']:.3f}s vs "
+          f"{ana['default_trace_wall_s']:.3f}s default traced "
+          f"({ana['analyze_vs_default']:+.1%}, recording plus leaving the "
+          f"walker path)")
 
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2)

@@ -21,8 +21,9 @@ Four measurements:
   events per real second) over distinct-time and tied-time workloads.
 * :func:`analyzer_overhead` — the end-to-end run with tracing on, with and
   without the causal recorder (:mod:`repro.obs.critpath`); reports the
-  recording overhead (budget: 5% of traced wall time) and the post-run
-  analysis cost.
+  recording overhead (budget: 5% of traced wall time), the cost of
+  ``--analyze`` against the default traced run, and the post-run analysis
+  cost.
 
 :func:`run_wallclock` runs them all (the cache benches on and off),
 computes the speedups and stamps the result with :func:`host_metadata`;
@@ -57,8 +58,7 @@ S, Z = omp_spread_start, omp_spread_size
 
 def launch_microbench(plan_cache: bool = True, n: int = 4096,
                       num_devices: int = 4, repeats: int = 30,
-                      launches: int = 5,
-                      macro_ops: Optional[bool] = None) -> Dict[str, Any]:
+                      launches: int = 5) -> Dict[str, Any]:
     """Per-launch host cost of an identical, already-mapped spread kernel.
 
     The program maps both arrays across *num_devices* once, then times
@@ -67,12 +67,10 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
     batch captures pure host-side lowering; the untimed ``taskwait``
     between batches drains the simulated devices.  Batch 0 is the cold
     (plan-building) sample; the warm figure is the mean of the rest.
-    ``macro_ops=False`` keeps the plan cache but replays hits through the
-    object path — the ablation arm for the macro-op replay engine.
     """
     rt = OpenMPRuntime(
         topology=cte_power_node(num_devices, memory_bytes=4e9),
-        trace_enabled=False, plan_cache=plan_cache, macro_ops=macro_ops)
+        trace_enabled=False, plan_cache=plan_cache)
     devices = list(range(num_devices))
     A, B = np.arange(float(n)), np.zeros(n)
     vA, vB = Var("A", A), Var("B", B)
@@ -101,7 +99,6 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
     warm_mean = statistics.mean(warm) / launches
     return {
         "plan_cache": plan_cache,
-        "macro_ops": rt.macro_ops,
         "n": n,
         "devices": num_devices,
         "repeats": repeats,
@@ -119,8 +116,7 @@ def launch_microbench(plan_cache: bool = True, n: int = 4096,
 
 def end_to_end(plan_cache: bool = True, n_functional: int = 24,
                steps: int = 12, gpus: int = 4,
-               macro_ops: Optional[bool] = None,
-               fused_timeline: Optional[bool] = None) -> Dict[str, Any]:
+               fused_timeline: bool = True) -> Dict[str, Any]:
     """Wall seconds of a small Somier run (whole stack, trace off).
 
     ``fused_timeline=False`` is the ablation arm for the fused-timeline
@@ -133,8 +129,7 @@ def end_to_end(plan_cache: bool = True, n_functional: int = 24,
     t0 = time.perf_counter()
     res = run_somier("one_buffer", cfg, devices=machines.paper_devices(gpus),
                      topology=topo, cost_model=cm, trace=False,
-                     plan_cache=plan_cache, macro_ops=macro_ops,
-                     fused_timeline=fused_timeline)
+                     plan_cache=plan_cache, fused_timeline=fused_timeline)
     wall = time.perf_counter() - t0
     return {
         "plan_cache": plan_cache,
@@ -234,36 +229,39 @@ ANALYZER_OVERHEAD_TARGET = 0.05
 
 def analyzer_overhead(runs: int = 3, n_functional: int = 24,
                       steps: int = 12, gpus: int = 4) -> Dict[str, Any]:
-    """Wall-clock cost of causal edge recording.
+    """Wall-clock cost of causal edge recording, and of ``--analyze``.
 
-    Both arms trace (analysis requires a trace, so the fair baseline is a
-    traced run); the only delta is the causal recorder — process-frontier
-    propagation, per-op dependency capture, resource-grant edges.  Both
-    arms also pin ``fused_timeline=False``: the causal recorder disengages
-    the fused-timeline walkers, so leaving them on in the baseline would
-    fold the walker speedup into the "overhead" and misattribute it to
-    recording.  Each arm takes the min over *runs* repeats to shed
-    scheduler noise.  The post-run analysis itself (critical path,
-    attribution, what-if replay) is timed separately: it is pure
-    reporting, off the recording hot path.
+    All arms trace (analysis requires a trace, so the fair baseline is a
+    traced run).  ``recording_overhead`` compares the analyze run with a
+    traced run pinned to ``fused_timeline=False``: the causal recorder
+    disengages the fused-timeline walkers, so that baseline runs the same
+    generator path and the delta is recording alone — process-frontier
+    propagation, per-op dependency capture, resource-grant edges.
+    ``analyze_vs_default`` compares it with the default traced run, which
+    takes the walker path: what turning on ``--analyze`` costs a user, the
+    recording plus leaving the walkers.  Each arm takes the min over
+    *runs* repeats to shed scheduler noise.  The post-run analysis itself
+    (critical path, attribution, what-if replay) is timed separately: it
+    is pure reporting, off the recording hot path.
     """
     topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
     cfg = machines.paper_somier_config(n_functional=n_functional,
                                        steps=steps)
     devices = machines.paper_devices(gpus)
 
-    def best_of(analyze: bool):
+    def best_of(analyze: bool, fused_timeline: bool = True):
         best, res = float("inf"), None
         for _ in range(max(1, runs)):
             t0 = time.perf_counter()
             res = run_somier("one_buffer", cfg, devices=devices,
                              topology=topo, cost_model=cm, trace=True,
-                             fused_timeline=False, analyze=analyze)
+                             fused_timeline=fused_timeline, analyze=analyze)
             best = min(best, time.perf_counter() - t0)
         return best, res
 
-    trace_s, trace_res = best_of(False)
+    trace_s, trace_res = best_of(False, fused_timeline=False)
     analyze_s, analyze_res = best_of(True)
+    default_s, _ = best_of(False)
     t0 = time.perf_counter()
     analyze_res.runtime.analysis().report()
     analysis_s = time.perf_counter() - t0
@@ -274,8 +272,11 @@ def analyzer_overhead(runs: int = 3, n_functional: int = 24,
         "gpus": gpus,
         "runs": runs,
         "trace_only_wall_s": trace_s,
+        "default_trace_wall_s": default_s,
         "analyze_wall_s": analyze_s,
         "recording_overhead": (analyze_s / trace_s - 1.0) if trace_s else 0.0,
+        "analyze_vs_default":
+            (analyze_s / default_s - 1.0) if default_s else 0.0,
         "overhead_target": ANALYZER_OVERHEAD_TARGET,
         "analysis_s": analysis_s,
         "events": len(analyze_res.runtime.trace.events),
@@ -299,13 +300,10 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
                   launches: int = 5, n_functional: int = 24,
                   steps: int = 12, analyzer_runs: int = 3,
                   timestamp: Optional[str] = None) -> Dict[str, Any]:
-    """The full track: microbench (macro on/off/no-cache) + end-to-end +
-    engine + analyzer, stamped with the host metadata."""
+    """The full track: microbench (cache on/off) + end-to-end + engine +
+    analyzer, stamped with the host metadata."""
     micro_on = launch_microbench(True, n=n, num_devices=num_devices,
                                  repeats=repeats, launches=launches)
-    micro_macro_off = launch_microbench(True, n=n, num_devices=num_devices,
-                                        repeats=repeats, launches=launches,
-                                        macro_ops=False)
     micro_off = launch_microbench(False, n=n, num_devices=num_devices,
                                   repeats=repeats, launches=launches)
     # Interleaved best-of: ambient load varies on multi-second scales, so
@@ -328,11 +326,10 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
     analyzer = analyzer_overhead(runs=analyzer_runs,
                                  n_functional=n_functional, steps=steps)
     return {
-        "schema": "repro-wallclock-6",
+        "schema": "repro-wallclock-7",
         "timestamp": timestamp,
         "host": host_metadata(),
         "launch_microbench": {"cache_on": micro_on,
-                              "macro_off": micro_macro_off,
                               "cache_off": micro_off},
         "end_to_end": {"cache_on": e2e_on, "cache_off": e2e_off,
                        "fused_off": e2e_fused_off},
@@ -340,8 +337,6 @@ def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
         "analyzer_overhead": analyzer,
         "warm_launch_speedup":
             micro_off["warm_launch_s"] / micro_on["warm_launch_s"],
-        "warm_macro_speedup":
-            micro_macro_off["warm_launch_s"] / micro_on["warm_launch_s"],
         "end_to_end_speedup": e2e_off["wall_s"] / e2e_on["wall_s"],
         "fused_e2e_speedup": e2e_fused_off["wall_s"] / e2e_on["wall_s"],
     }

@@ -99,14 +99,8 @@ def _resolve_machine(args):
     return topo, cm, devices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Simulated multi-device OpenMP: the target spread "
-                    "directive set (Torres et al., IPDPS-W 2022)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("somier", help="run one Somier experiment")
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The run flags ``somier``, ``stats`` and ``analyze`` share."""
     p.add_argument("--impl", default="one_buffer",
                    choices=["target", "one_buffer", "two_buffers",
                             "double_buffering"])
@@ -130,14 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-plan-cache", action="store_true",
                    help="disable spread launch-plan caching (replay); "
                         "every directive takes the full lowering path")
-    p.add_argument("--no-macro-ops", action="store_true",
-                   help="keep the plan cache but disable macro-op replay "
-                        "(compiled flat replay programs for cache hits; "
-                        "default: $REPRO_MACRO_OPS or on)")
-    p.add_argument("--no-fused-timeline", action="store_true",
-                   help="keep macro replay but run chunks as generator "
-                        "processes instead of fused timeline walkers "
-                        "(default: $REPRO_FUSED_TIMELINE or on)")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="inject seeded faults, e.g. 'transfer:0.01' or "
                         "'device@1:#3' (default: $REPRO_FAULTS or off); "
@@ -145,6 +131,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-seed", type=int, default=None, metavar="N",
                    help="fault-injection RNG seed (default: "
                         "$REPRO_FAULT_SEED or 0)")
+
+
+def _run_args(args):
+    """(config, ``run_somier`` keywords) selected by the shared run flags."""
+    topo, cm, devices = _resolve_machine(args)
+    cfg = machines.paper_somier_config(n_functional=args.n_functional,
+                                       steps=args.steps)
+    return cfg, dict(devices=devices, topology=topo, cost_model=cm,
+                     data_depend=args.data_depend,
+                     fuse_transfers=args.fuse_transfers,
+                     plan_cache=not args.no_plan_cache,
+                     faults=args.faults, fault_seed=args.fault_seed)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Simulated multi-device OpenMP: the target spread "
+                    "directive set (Torres et al., IPDPS-W 2022)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("somier", help="run one Somier experiment")
+    _add_run_flags(p)
     p.add_argument("--sanitize", nargs="?", const="on", default=None,
                    choices=["on", "strict"], metavar="MODE",
                    help="enable the interval race sanitizer (MODE 'strict' "
@@ -170,35 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats",
                        help="run Somier with the metrics tool and print "
                             "the profiling report")
-    p.add_argument("--impl", default="one_buffer",
-                   choices=["target", "one_buffer", "two_buffers",
-                            "double_buffering"])
-    p.add_argument("--gpus", type=int, default=None, choices=[1, 2, 3, 4],
-                   help="paper-node GPU count (default 4); giving it "
-                        "explicitly overrides $REPRO_MACHINE")
-    p.add_argument("--machine", metavar="SPEC", default=None,
-                   help="simulated machine: 'cte-power[:N]' or "
-                        "'cluster:NxM' (N nodes x M GPUs; overrides "
-                        "--gpus; default: $REPRO_MACHINE or the "
-                        "CTE-POWER node) — see docs/cluster.md")
-    p.add_argument("--devices", type=_devices_arg, default=None)
-    p.add_argument("--n-functional", type=int, default=48)
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--data-depend", action="store_true")
-    p.add_argument("--fuse-transfers", action="store_true")
-    p.add_argument("--no-plan-cache", action="store_true")
-    p.add_argument("--no-macro-ops", action="store_true",
-                   help="disable macro-op replay of plan-cache hits "
-                        "(default: $REPRO_MACRO_OPS or on)")
-    p.add_argument("--no-fused-timeline", action="store_true",
-                   help="disable fused-timeline walkers "
-                        "(default: $REPRO_FUSED_TIMELINE or on)")
-    p.add_argument("--faults", metavar="SPEC", default=None,
-                   help="inject seeded faults (default: $REPRO_FAULTS "
-                        "or off)")
-    p.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                   help="fault-injection RNG seed (default: "
-                        "$REPRO_FAULT_SEED or 0)")
+    _add_run_flags(p)
     p.add_argument("--sanitize", nargs="?", const="on", default=None,
                    choices=["on", "strict"], metavar="MODE",
                    help="enable the interval race sanitizer (default: "
@@ -211,35 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze",
                        help="run Somier with the causal recorder and print "
                             "the critical-path / bottleneck report")
-    p.add_argument("--impl", default="one_buffer",
-                   choices=["target", "one_buffer", "two_buffers",
-                            "double_buffering"])
-    p.add_argument("--gpus", type=int, default=None, choices=[1, 2, 3, 4],
-                   help="paper-node GPU count (default 4); giving it "
-                        "explicitly overrides $REPRO_MACHINE")
-    p.add_argument("--machine", metavar="SPEC", default=None,
-                   help="simulated machine: 'cte-power[:N]' or "
-                        "'cluster:NxM' (N nodes x M GPUs; overrides "
-                        "--gpus; default: $REPRO_MACHINE or the "
-                        "CTE-POWER node) — see docs/cluster.md")
-    p.add_argument("--devices", type=_devices_arg, default=None)
-    p.add_argument("--n-functional", type=int, default=48)
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--data-depend", action="store_true")
-    p.add_argument("--fuse-transfers", action="store_true")
-    p.add_argument("--no-plan-cache", action="store_true")
-    p.add_argument("--no-macro-ops", action="store_true",
-                   help="disable macro-op replay of plan-cache hits "
-                        "(default: $REPRO_MACRO_OPS or on)")
-    p.add_argument("--no-fused-timeline", action="store_true",
-                   help="disable fused-timeline walkers "
-                        "(default: $REPRO_FUSED_TIMELINE or on)")
-    p.add_argument("--faults", metavar="SPEC", default=None,
-                   help="inject seeded faults (default: $REPRO_FAULTS "
-                        "or off)")
-    p.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                   help="fault-injection RNG seed (default: "
-                        "$REPRO_FAULT_SEED or 0)")
+    _add_run_flags(p)
     p.add_argument("--json", action="store_true",
                    help="emit the repro-critpath-1 JSON payload instead of "
                         "the text report")
@@ -320,20 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_somier(args) -> int:
     from repro.obs import Profiler
 
-    topo, cm, devices = _resolve_machine(args)
-    cfg = machines.paper_somier_config(n_functional=args.n_functional,
-                                       steps=args.steps)
+    cfg, kw = _run_args(args)
+    devices = kw["devices"]
     profiling = args.profile or args.trace_json or args.metrics_json
     prof = Profiler() if profiling else None
-    res = run_somier(args.impl, cfg, devices=devices, topology=topo,
-                     cost_model=cm, data_depend=args.data_depend,
-                     fuse_transfers=args.fuse_transfers,
+    res = run_somier(args.impl, cfg, **kw,
                      trace=args.trace or bool(args.trace_json),
-                     plan_cache=not args.no_plan_cache,
-                     macro_ops=False if args.no_macro_ops else None,
-                     fused_timeline=(False if args.no_fused_timeline
-                                     else None),
-                     faults=args.faults, fault_seed=args.fault_seed,
                      sanitize=args.sanitize,
                      analyze=args.analyze or None,
                      tools=prof.tools if prof else ())
@@ -390,20 +335,11 @@ def cmd_somier(args) -> int:
 def cmd_stats(args) -> int:
     from repro.obs import Profiler
 
-    topo, cm, devices = _resolve_machine(args)
-    cfg = machines.paper_somier_config(n_functional=args.n_functional,
-                                       steps=args.steps)
+    cfg, kw = _run_args(args)
+    devices = kw["devices"]
     prof = Profiler()
-    res = run_somier(args.impl, cfg, devices=devices, topology=topo,
-                     cost_model=cm, data_depend=args.data_depend,
-                     fuse_transfers=args.fuse_transfers,
-                     plan_cache=not args.no_plan_cache,
-                     macro_ops=False if args.no_macro_ops else None,
-                     fused_timeline=(False if args.no_fused_timeline
-                                     else None),
-                     faults=args.faults, fault_seed=args.fault_seed,
-                     sanitize=args.sanitize, analyze=True,
-                     tools=prof.tools)
+    res = run_somier(args.impl, cfg, **kw, sanitize=args.sanitize,
+                     analyze=True, tools=prof.tools)
     analysis = res.runtime.analysis()
     report = prof.report(makespan=res.elapsed,
                          critpath=analysis.headline())
@@ -424,19 +360,10 @@ def cmd_stats(args) -> int:
 def cmd_analyze(args) -> int:
     from repro.obs import Profiler
 
-    topo, cm, devices = _resolve_machine(args)
-    cfg = machines.paper_somier_config(n_functional=args.n_functional,
-                                       steps=args.steps)
+    cfg, kw = _run_args(args)
+    devices = kw["devices"]
     prof = Profiler() if args.trace_json else None
-    res = run_somier(args.impl, cfg, devices=devices, topology=topo,
-                     cost_model=cm, data_depend=args.data_depend,
-                     fuse_transfers=args.fuse_transfers,
-                     plan_cache=not args.no_plan_cache,
-                     macro_ops=False if args.no_macro_ops else None,
-                     fused_timeline=(False if args.no_fused_timeline
-                                     else None),
-                     faults=args.faults, fault_seed=args.fault_seed,
-                     analyze=True,
+    res = run_somier(args.impl, cfg, **kw, analyze=True,
                      tools=prof.tools if prof else ())
     analysis = res.runtime.analysis()
     if args.trace_json:

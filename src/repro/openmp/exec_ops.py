@@ -457,17 +457,15 @@ def _issue_copies(rt, dev, copies, h2d: bool, fuse: bool,
     # does); the staging path and the device queue serialize them, but the
     # next copy's staging pipelines with the current one's wire time.
     sim = dev.sim
-    if (rt.fused_timeline and rt.fault_injector is None
-            and sim.recorder is None and sim.cp_hook is None
-            and sim.san_hook is None and not dev.tools and not dev.lost
+    if (_timeline.walkers_engaged(rt) and not dev.lost
             and dev.network is None):
         # Fused-timeline copy walkers: the identical copy protocol (same
         # resource claims, same timed segments, same trace records) with
         # no generator frames — see repro.sim.timeline._CopyProc.  Any
-        # per-op observer (faults, recorder, sanitizer, tools) keeps the
-        # generator sub-processes below.  Devices behind an inter-node
-        # network link keep the generator path too: the walkers don't
-        # model the network hop, and bit-identity beats frame savings.
+        # per-op observer keeps the generator sub-processes below.
+        # Devices behind an inter-node network link keep the generator
+        # path too: the walkers don't model the network hop, and
+        # bit-identity beats frame savings.
         cls = _timeline.CopyH2D if h2d else _timeline.CopyD2H
         prefix = label or "map"
         walkers = [cls.spawn(sim, dev, src, sk, dst, dk, f"{prefix}:{vname}")

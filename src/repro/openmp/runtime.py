@@ -38,39 +38,6 @@ from repro.util import envknobs
 from repro.util.errors import OmpDeviceError, OmpRuntimeError
 
 
-def resolve_macro_ops(macro_ops: Optional[bool]) -> bool:
-    """Normalize the ``macro_ops`` knob (the macro-op replay engine).
-
-    ``None`` consults the ``REPRO_MACRO_OPS`` environment variable (so CI
-    can force the object path: ``REPRO_MACRO_OPS=0``), defaulting to **on**
-    — replay is bit-identical to the object path and only engages when
-    nothing observable is skipped (see :func:`repro.spread.macro.engaged`).
-    """
-    if macro_ops is None:
-        try:
-            return envknobs.env_flag("REPRO_MACRO_OPS", default=True)
-        except ValueError as err:
-            raise OmpRuntimeError(str(err))
-    return bool(macro_ops)
-
-
-def resolve_fused_timeline(fused_timeline: Optional[bool]) -> bool:
-    """Normalize the ``fused_timeline`` knob (the fused-timeline engine).
-
-    ``None`` consults the ``REPRO_FUSED_TIMELINE`` environment variable
-    (CI ablation: ``REPRO_FUSED_TIMELINE=0``), defaulting to **on** —
-    fused execution is bit-identical to the generator path and only
-    engages for macro-replayed steady-state kernel chunks nothing else
-    observes (see :mod:`repro.sim.timeline`).
-    """
-    if fused_timeline is None:
-        try:
-            return envknobs.env_flag("REPRO_FUSED_TIMELINE", default=True)
-        except ValueError as err:
-            raise OmpRuntimeError(str(err))
-    return bool(fused_timeline)
-
-
 def resolve_analyze(analyze: Optional[bool]) -> bool:
     """Normalize the ``analyze`` knob.
 
@@ -133,8 +100,7 @@ class OpenMPRuntime:
                  trace_enabled: bool = True,
                  taskgroup_global_drain: bool = True,
                  plan_cache: bool = True,
-                 macro_ops: Optional[bool] = None,
-                 fused_timeline: Optional[bool] = None,
+                 fused_timeline: bool = True,
                  faults: FaultsSpec = None,
                  fault_seed: Optional[int] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -205,17 +171,14 @@ class OpenMPRuntime:
         #: ``plan_cache=False`` (CLI ``--no-plan-cache``) forces every
         #: directive down the full lowering path.
         self.plan_cache = SpreadPlanCache(enabled=plan_cache)
-        #: macro-op replay engine (repro.spread.macro): cached spread plans
-        #: are compiled to flat programs and replayed by a tight
-        #: interpreter loop.  ``macro_ops=False`` (CLI ``--no-macro-ops``,
-        #: env ``REPRO_MACRO_OPS=0``) forces the object path.
-        self.macro_ops = resolve_macro_ops(macro_ops)
         #: fused-timeline engine (repro.sim.timeline): macro-replayed
-        #: steady-state kernel chunks execute as precomputed virtual-time
-        #: walkers instead of generator processes.  ``fused_timeline=False``
-        #: (CLI ``--no-fused-timeline``, env ``REPRO_FUSED_TIMELINE=0``)
-        #: forces the generator path.
-        self.fused_timeline = resolve_fused_timeline(fused_timeline)
+        #: steady-state kernel chunks and section copies execute as
+        #: precomputed virtual-time walkers instead of generator processes
+        #: whenever nothing observes per-op state (see
+        #: :func:`repro.sim.timeline.walkers_engaged`).  ``False`` keeps
+        #: them on the generator path — the baseline the wall-clock
+        #: bench's ablation arms measure against.
+        self.fused_timeline = bool(fused_timeline)
         #: deterministic fault source shared by all devices (or None);
         #: ``faults``/``fault_seed`` default to $REPRO_FAULTS and
         #: $REPRO_FAULT_SEED (see :mod:`repro.sim.faults` for the grammar)

@@ -20,9 +20,7 @@ virtual clock all match the paper's regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
-
-import numpy as np
+from typing import NamedTuple
 
 from repro.sim.topology import DeviceSpec, LinkSpec, NetworkLinkSpec
 
@@ -137,40 +135,3 @@ class CostModel:
         return KernelCost(iterations=virtual_iters,
                           launch_latency=device.kernel_launch_latency,
                           compute_time=compute)
-
-    def kernel_batch(self, device: DeviceSpec, bounds,
-                     num_teams: int | None = None,
-                     threads_per_team: int | None = None,
-                     simd: bool = True,
-                     work_per_iter: float = 1.0
-                     ) -> Tuple[List[float], List[float]]:
-        """Vectorized :meth:`kernel` over an ``(n, 2)`` array of chunk
-        bounds on one device, for the fused-timeline compiler.
-
-        Returns ``(virtual_iters, totals)`` as plain Python floats.  The
-        effective parallelism and throughput are scalars shared by the
-        whole batch; the per-record arithmetic runs elementwise in float64
-        with the exact operation order of the scalar path, so every entry
-        is bit-identical to the ``KernelCost`` the generator path computes.
-        """
-        bounds = np.asarray(bounds, dtype=np.int64)
-        iterations = (bounds[:, 1] - bounds[:, 0]).astype(np.float64)
-        if iterations.size and iterations.min() < 0:
-            raise ValueError("negative iteration count")
-        virtual_iters = iterations * self.scale
-        max_par = device.max_parallelism
-        if num_teams is None and threads_per_team is None:
-            parallelism = max_par
-        else:
-            teams = num_teams if num_teams is not None else device.num_sms
-            threads = (threads_per_team if threads_per_team is not None
-                       else device.max_threads_per_sm)
-            parallelism = min(teams * threads, max_par)
-        if not simd:
-            parallelism = max(1, parallelism // device.simd_width)
-        parallelism = max(1, parallelism)
-        saturation = parallelism / max_par
-        throughput = device.iters_per_second * min(1.0, saturation)
-        compute = virtual_iters * work_per_iter / throughput
-        totals = device.kernel_launch_latency + compute
-        return virtual_iters.tolist(), totals.tolist()

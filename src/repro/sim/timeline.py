@@ -7,9 +7,9 @@ sequence of a compiled :class:`~repro.spread.macro.MacroProgram` is static,
 so all of that per-op machinery re-derives the same facts on every replay.
 
 This module replaces the generator with a **timeline walker**: per-chunk
-segment durations are computed once per program with one vectorized pass
-over the cost model (:meth:`CostModel.kernel_batch`, cumulative sums give
-the segment-boundary table), and a slotted :class:`TimelineProc` advances
+segment durations are computed once per program with the same scalar
+cost-model call the generator path makes (:meth:`CostModel.kernel`, as in
+``Device.launch_kernel``), and a slotted :class:`TimelineProc` advances
 through them with pooled engine calls.  Real :class:`Event` objects are
 materialized only at *interaction points* — the resource acquire for the
 device queue, the ``AllOf`` join over depend/in-flight waits — and every
@@ -17,38 +17,50 @@ inert segment between them is one pooled ``_Call`` dispatch instead of a
 Timeout + callback + generator resume.
 
 **Bit identity.**  The walker arms each segment with the *individual*
-durations the generator would have passed to ``sim.timeout`` (never with
-cumsum differences — IEEE addition is not associative), pushes exactly one
-queue entry per original Timeout boundary, and performs every resource
-request/release, refcount move, trace record and exit-protocol step in the
-same order at the same virtual times.  Traces and ``virtual_s`` are
-therefore identical fused on or off, which ``tests/spread`` enforces.
-Engagement mirrors macro replay and additionally requires that no causal
-recorder or join hook observes per-op state (walkers skip ``op_begin``/
-``op_end``); anything else falls back to the generator path.
+durations the generator would have passed to ``sim.timeout``, pushes
+exactly one queue entry per original Timeout boundary, and performs every
+resource request/release, refcount move, trace record and exit-protocol
+step in the same order at the same virtual times.  Traces and
+``virtual_s`` are therefore identical on either path, which
+``tests/spread`` enforces.  :func:`walkers_engaged` is the one place that
+decides whether walkers may run: walkers skip ``op_begin``/``op_end``,
+tool callbacks, fault checks and causal/sanitizer joins, so any observer
+of those keeps the generator path.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional
 
-import numpy as np
-
 from repro.device.device import _prov_meta
 from repro.sim import trace as tr
 from repro.sim.engine import Process
 
 
+def walkers_engaged(rt) -> bool:
+    """True when timeline walkers may stand in for generator processes.
+
+    The ``fused_timeline`` argument must be on and nothing may observe the
+    per-op state walkers skip: no tools, no fault injector, no sanitizer
+    join hook, no causal recorder and no causal join hook.  Callers add
+    their own per-device terms (copy walkers: the device is not lost and
+    has no network hop); replay itself is chosen by
+    :func:`repro.spread.macro.engaged`.
+    """
+    sim = rt.sim
+    return (rt.fused_timeline and not rt.tools
+            and rt.fault_injector is None and sim.san_hook is None
+            and sim.recorder is None and sim.cp_hook is None)
+
+
 class Timeline:
     """Per-program virtual-time segments for the steady-state kernel path.
 
-    ``totals``/``iters``/``issue`` are per-record Python floats (exact —
-    computed with the same float64 operations the scalar cost model runs);
-    ``segments`` is the cumulative segment-boundary table (host overhead →
-    issue → kernel) kept for observability, NOT for arming delays.
+    ``totals``/``iters``/``issue`` are per-record Python floats, computed
+    by the scalar cost model exactly as the generator path computes them.
     """
 
-    __slots__ = ("totals", "iters", "issue", "overhead", "segments")
+    __slots__ = ("totals", "iters", "issue", "overhead")
 
     def __init__(self, totals: List[float], iters: List[float],
                  issue: List[float], overhead: float) -> None:
@@ -56,12 +68,6 @@ class Timeline:
         self.iters = iters
         self.issue = issue
         self.overhead = overhead
-        n = len(totals)
-        durations = np.column_stack([
-            np.full(n, overhead, dtype=np.float64),
-            np.asarray(issue, dtype=np.float64),
-            np.asarray(totals, dtype=np.float64)])
-        self.segments = np.cumsum(durations, axis=1)
 
 
 def kernel_timeline(rt, prog, kernel, cfg) -> Timeline:
@@ -84,24 +90,18 @@ def kernel_timeline(rt, prog, kernel, cfg) -> Timeline:
 
 def _build_timeline(rt, prog, kernel, cfg) -> Timeline:
     cm = rt.cost_model
-    n = len(prog.records)
-    totals = [0.0] * n
-    iters = [0.0] * n
-    issue = [0.0] * n
-    devices = prog.devices
-    for d in np.unique(devices):
-        idx = np.flatnonzero(devices == d)
-        spec = rt.devices[int(d)].spec
-        it, tot = cm.kernel_batch(spec, prog.bounds[idx],
-                                  num_teams=cfg.num_teams,
-                                  threads_per_team=cfg.threads_per_team,
-                                  simd=cfg.simd,
-                                  work_per_iter=kernel.work_per_iter)
-        lat = spec.kernel_issue_latency
-        for j, k in enumerate(idx):
-            totals[k] = tot[j]
-            iters[k] = it[j]
-            issue[k] = lat
+    totals: List[float] = []
+    iters: List[float] = []
+    issue: List[float] = []
+    for rec in prog.records:
+        spec = rt.devices[rec.device_id].spec
+        cost = cm.kernel(spec, float(rec.hi - rec.lo),
+                         num_teams=cfg.num_teams,
+                         threads_per_team=cfg.threads_per_team,
+                         simd=cfg.simd, work_per_iter=kernel.work_per_iter)
+        totals.append(cost.total)
+        iters.append(cost.iterations)
+        issue.append(spec.kernel_issue_latency)
     return Timeline(totals, iters, issue, cm.host_task_overhead)
 
 

@@ -72,8 +72,7 @@ def run_somier(impl: str, config: SomierConfig,
                taskgroup_global_drain: bool = True,
                trace: bool = True,
                plan_cache: bool = True,
-               macro_ops: Optional[bool] = None,
-               fused_timeline: Optional[bool] = None,
+               fused_timeline: bool = True,
                faults: Optional[str] = None,
                fault_seed: Optional[int] = None,
                sanitize=None,
@@ -95,12 +94,8 @@ def run_somier(impl: str, config: SomierConfig,
     the program starts; if any is a :class:`MetricsTool`, its snapshot
     lands on ``SomierResult.metrics``.  ``plan_cache=False`` (CLI
     ``--no-plan-cache``) disables spread launch-plan replay.
-    ``macro_ops=False`` (CLI ``--no-macro-ops``) keeps the plan cache but
-    disables compiling cached plans into macro-op replay programs; None
-    consults ``REPRO_MACRO_OPS`` — see :mod:`repro.spread.macro`.
-    ``fused_timeline=False`` (CLI ``--no-fused-timeline``) keeps macro
-    replay but runs every chunk as a generator process instead of a fused
-    timeline walker; None consults ``REPRO_FUSED_TIMELINE`` — see
+    ``fused_timeline=False`` keeps macro replay but runs every chunk as a
+    generator process instead of a fused timeline walker — see
     :mod:`repro.sim.timeline`.
     ``faults``/``fault_seed`` (CLI ``--faults``/``--fault-seed``) enable
     seeded fault injection; None consults ``REPRO_FAULTS`` and
@@ -128,8 +123,7 @@ def run_somier(impl: str, config: SomierConfig,
     rt = OpenMPRuntime(topology=topo, cost_model=cost_model,
                        trace_enabled=trace or analyze is True,
                        taskgroup_global_drain=taskgroup_global_drain,
-                       plan_cache=plan_cache, macro_ops=macro_ops,
-                       fused_timeline=fused_timeline,
+                       plan_cache=plan_cache, fused_timeline=fused_timeline,
                        faults=faults, fault_seed=fault_seed,
                        sanitize=sanitize, analyze=analyze)
     devs = list(devices) if devices is not None else list(range(topo.num_devices))

@@ -6,8 +6,7 @@ object graph — task bodies, wait lists, present-table lookups — on every
 launch.  That object churn is what capped warm launches at ~16k/s.
 
 This module compiles a cached plan (once, on first replay) into a flat,
-immutable **macro-op program**: a tuple of slotted records plus parallel
-NumPy arrays of op-kind codes, device ids and byte-interval bounds.  A
+immutable **macro-op program**: a tuple of slotted per-chunk records.  A
 replay then runs a tight interpreter loop over the records:
 
 * present-table resolutions (entry + kernel view per map clause) are cached
@@ -35,30 +34,26 @@ epoch *at run time* (the present table can change between submit and run)
 and falls back to the generic :func:`repro.openmp.exec_ops.kernel_op`
 generator when it moved.
 
-``REPRO_MACRO_OPS=0`` (or ``--no-macro-ops``) disables the path globally;
-``tests/spread/test_macro_replay.py`` enforces bit identity against it.
+There is no switch for this path: what observes the run picks it (see
+:func:`engaged`).  ``tests/spread/test_macro_replay.py`` enforces bit
+identity against the cold (``plan_cache=False``) run and against a run
+with a tool registered, which takes the object path.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.openmp import exec_ops
 from repro.openmp.depend import compile_deps
 from repro.sim import timeline as _timeline
 from repro.sim.engine import Process
-from repro.util.intervals import batch_widths, pack_intervals
 
-# Op-kind codes for the flat program arrays.
+# Op-kind codes of macro records.
 OP_KERNEL = 0
 OP_ENTER = 1
 OP_EXIT = 2
 OP_UPDATE = 3
-
-KIND_NAMES = {OP_KERNEL: "kernel", OP_ENTER: "enter", OP_EXIT: "exit",
-              OP_UPDATE: "update"}
 
 
 class MacroRecord:
@@ -94,16 +89,9 @@ class MacroRecord:
 
 
 class MacroProgram:
-    """A compiled directive: records plus flat parallel arrays.
+    """A compiled directive: its records plus lazily built replay state."""
 
-    The arrays carry the structural facts of the program — op kinds, target
-    devices, iteration/section bounds and the CSR-packed concrete map
-    intervals — so whole-program checks are single vectorized passes
-    instead of per-op Python loops.
-    """
-
-    __slots__ = ("records", "kinds", "devices", "bounds", "map_bounds",
-                 "map_index", "total_bytes", "info", "timeline", "dep_plan")
+    __slots__ = ("records", "info", "timeline", "dep_plan")
 
     def __init__(self, records: Sequence[MacroRecord]) -> None:
         self.records: Tuple[MacroRecord, ...] = tuple(records)
@@ -114,37 +102,20 @@ class MacroProgram:
         # flattened depend clauses (False = program has none)
         self.timeline = None
         self.dep_plan = None
-        n = len(self.records)
-        self.kinds = np.fromiter((r.kind for r in self.records),
-                                 dtype=np.int8, count=n)
-        self.devices = np.fromiter((r.device_id for r in self.records),
-                                   dtype=np.int32, count=n)
-        self.bounds = np.empty((n, 2), dtype=np.int64)
-        for i, r in enumerate(self.records):
-            self.bounds[i, 0] = r.lo
-            self.bounds[i, 1] = r.hi
-        flat = [iv for r in self.records for _c, iv in r.maps]
-        self.map_bounds = pack_intervals(flat)
-        counts = np.fromiter((len(r.maps) for r in self.records),
-                             dtype=np.int64, count=n)
-        self.map_index = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.map_index[1:])
-        self.total_bytes = int(batch_widths(self.map_bounds).sum()) \
-            if len(flat) else 0
 
     def __len__(self) -> int:
         return len(self.records)
 
     def well_formed(self) -> bool:
-        """Vectorized structural validation over the whole program."""
-        if len(self.records) == 0:
-            return True
-        if not bool(np.all(self.bounds[:, 0] <= self.bounds[:, 1])):
-            return False
-        if self.map_bounds.shape[0] and not bool(
-                np.all(self.map_bounds[:, 0] < self.map_bounds[:, 1])):
-            return False
-        return bool(np.all(self.devices >= 0))
+        """Structural validation: ordered bounds, non-empty map intervals,
+        valid device ids."""
+        for r in self.records:
+            if r.lo > r.hi or r.device_id < 0:
+                return False
+            for _clause, iv in r.maps:
+                if iv.start >= iv.stop:
+                    return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +127,11 @@ def engaged(rt) -> bool:
 
     Tools, the sanitizer and the fault injector all observe (or perturb)
     per-op bookkeeping the fast path skips; lost devices make cached
-    resolutions meaningless.  Any of them present → object path.
+    resolutions meaningless.  Any of them present → object path.  Whether
+    replayed kernel chunks then run as timeline walkers is
+    :func:`repro.sim.timeline.walkers_engaged`'s call.
     """
-    return (rt.macro_ops and not rt.tools and rt.sanitizer is None
+    return (not rt.tools and rt.sanitizer is None
             and rt.fault_injector is None and not rt._lost_devices)
 
 
@@ -398,10 +371,7 @@ def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
     sim = rt.sim
     envs = rt.dataenvs
     depend = rt.depend
-    # Walkers skip the per-op begin/end and causal joins a recorder or
-    # join hook would observe, so fusion needs quiet on top of engaged().
-    fused = (rt.fused_timeline and sim.recorder is None
-             and sim.cp_hook is None)
+    fused = _timeline.walkers_engaged(rt)
     tl = None
     dep_waits = _resolve_deps_compiled(prog, depend)
     procs: List[Process] = []

@@ -6,20 +6,12 @@ implement the present-table rules (Section II/III of the paper and the OpenMP
 spec's restriction against extending an already-mapped section).
 
 All intervals are half-open ``[start, stop)`` over Python ints.
-
-Besides the scalar :class:`Interval` algebra, the module packs intervals
-into ``(n, 2)`` NumPy bound arrays — the representation the macro-op replay
-engine (:mod:`repro.spread.macro`) uses, where per-op Python loops would
-dominate.  ``batch_widths`` matches ``len(Interval)`` exactly (empty
-intervals clamp to 0); ``tests/util/test_intervals.py`` cross-checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -212,23 +204,3 @@ class IntervalSet:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "IntervalSet(" + ", ".join(map(repr, self._ivs)) + ")"
 
-
-# -- NumPy batch helpers ------------------------------------------------------
-#
-# Packed representation: an ``(n, 2)`` int64 array of ``[start, stop)`` bound
-# pairs, as the macro-op compiler stores per-chunk map intervals.
-
-
-def pack_intervals(intervals: Sequence[Interval]) -> np.ndarray:
-    """Pack a sequence of :class:`Interval` into an ``(n, 2)`` int64 array."""
-    n = len(intervals)
-    out = np.empty((n, 2), dtype=np.int64)
-    for i, iv in enumerate(intervals):
-        out[i, 0] = iv.start
-        out[i, 1] = iv.stop
-    return out
-
-
-def batch_widths(packed: np.ndarray) -> np.ndarray:
-    """Element counts per packed interval (empty intervals clamp to 0)."""
-    return np.maximum(packed[:, 1] - packed[:, 0], 0)

@@ -27,7 +27,7 @@ class TestHostMetadata:
 class TestCommittedBench:
     def test_schema_and_keys(self):
         doc = json.loads(COMMITTED.read_text())
-        assert doc["schema"] == "repro-wallclock-6"
+        assert doc["schema"] == "repro-wallclock-7"
         assert set(doc["host"]) == {"cpu_count", "python", "numpy",
                                     "platform"}
         # exactly these blocks: the retired sweep and microbench keys of
@@ -35,5 +35,9 @@ class TestCommittedBench:
         assert set(doc) == {
             "schema", "timestamp", "host", "launch_microbench",
             "end_to_end", "engine", "analyzer_overhead",
-            "warm_launch_speedup", "warm_macro_speedup",
-            "end_to_end_speedup", "fused_e2e_speedup"}
+            "warm_launch_speedup", "end_to_end_speedup",
+            "fused_e2e_speedup"}
+        assert set(doc["launch_microbench"]) == {"cache_on", "cache_off"}
+        ana = doc["analyzer_overhead"]
+        assert {"recording_overhead", "analyze_vs_default",
+                "default_trace_wall_s"} <= set(ana)

@@ -13,6 +13,7 @@ deterministically for a given spec + seed.
 import numpy as np
 import pytest
 
+from repro.obs import MetricsTool
 from repro.sim.topology import MACHINE_ENV, uniform_cluster
 from repro.somier import SomierConfig, run_somier
 
@@ -103,7 +104,8 @@ class TestClusterBitIdentity:
     def test_replay_paths_transparent(self):
         base = run()
         assert_bit_identical(base, run(fused_timeline=False))
-        assert_bit_identical(base, run(macro_ops=False))
+        # a registered tool replays cache hits through the object path
+        assert_bit_identical(base, run(tools=(MetricsTool(),)))
         assert_bit_identical(base, run(plan_cache=False))
 
 

@@ -1,4 +1,4 @@
-"""Fused-timeline engine: bit identity fused on vs off.
+"""Fused-timeline engine: bit identity fused on vs off, and the path table.
 
 :mod:`repro.sim.timeline` executes replayed spread chunks (and the
 runtime's batched section copies) as fused timeline walkers: per-chunk
@@ -6,9 +6,10 @@ virtual-time segments advanced in single dispatches instead of generator
 round-trips.  The acceptance contract mirrors macro replay's, one level
 down — the walker path must be observationally indistinguishable from
 the generator path.  Same ``virtual_s`` to the bit, same trace events,
-same results, across implementations, spread modes, and
-every observation fallback (sanitizer, analyzer, fault injection), where
-the walkers must disengage entirely (``fused_segments == 0``).
+same results, across implementations and spread modes.  The decision
+table pins which path each observer selects — macro replay and walkers,
+replay on the generator path, or the object path — and checks every row
+against the cold ``plan_cache=False`` run with the same observers.
 """
 
 import numpy as np
@@ -20,8 +21,8 @@ from repro.bench.machines import (
     paper_somier_config,
 )
 from repro.device.kernel import KernelSpec
+from repro.obs import MetricsTool
 from repro.openmp import Map, OpenMPRuntime, Var
-from repro.openmp.runtime import resolve_fused_timeline
 from repro.sim.timeline import TimelineProc
 from repro.sim.topology import cte_power_node
 from repro.somier.driver import run_somier
@@ -38,11 +39,10 @@ def _hermetic_knob_env(monkeypatch):
     """The engagement assertions (``fused_segments > 0``) require the
     walkers to actually engage, which any globally armed observation
     fallback disables by design — the CI env-matrix legs (``REPRO_FAULTS``,
-    ``REPRO_SANITIZE``, ``REPRO_ANALYZE``, ``REPRO_MACRO_OPS``) must not
-    leak in.  Each fallback is covered explicitly below with the knob
-    armed per-run."""
+    ``REPRO_SANITIZE``, ``REPRO_ANALYZE``) must not leak in.  Each
+    fallback is covered explicitly below, armed per run."""
     for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
-                 "REPRO_ANALYZE", "REPRO_MACRO_OPS", "REPRO_FUSED_TIMELINE"):
+                 "REPRO_ANALYZE"):
         monkeypatch.delenv(knob, raising=False)
 
 
@@ -52,7 +52,7 @@ def _event_tuples(trace):
             for e in trace.events]
 
 
-def _run(impl, fused, *, gpus=4, n=24, steps=3, devices=None, **kw):
+def _run(impl, fused=True, *, gpus=4, n=24, steps=3, devices=None, **kw):
     topo, cm = paper_machine(gpus, n_functional=n)
     cfg = paper_somier_config(n_functional=n, steps=steps)
     devs = devices if devices is not None else paper_devices(gpus)
@@ -60,13 +60,12 @@ def _run(impl, fused, *, gpus=4, n=24, steps=3, devices=None, **kw):
                       fused_timeline=fused, **kw)
 
 
-def _assert_identical(on, off):
-    assert on.elapsed == off.elapsed
-    assert np.array_equal(on.centers, off.centers)
-    t_on, t_off = on.runtime.trace, off.runtime.trace
-    if t_on is not None and t_off is not None:
-        assert _event_tuples(t_on) == _event_tuples(t_off)
-    assert off.stats["engine_fused_segments"] == 0
+def _assert_identical(a, b):
+    assert a.elapsed == b.elapsed
+    assert np.array_equal(a.centers, b.centers)
+    t_a, t_b = a.runtime.trace, b.runtime.trace
+    if t_a is not None and t_b is not None:
+        assert _event_tuples(t_a) == _event_tuples(t_b)
 
 
 MATRIX = [
@@ -79,6 +78,9 @@ MATRIX = [
     ("two_buffers", dict(n=48, data_depend=True)),
     ("double_buffering", dict(n=48)),
     ("double_buffering", dict(n=48, data_depend=True)),
+    # seeded transfer retries: the injector keeps the walkers off, and the
+    # retries must replay alike with the argument on or off
+    ("one_buffer", dict(faults="transfer:0.05", fault_seed=7)),
 ]
 
 
@@ -89,7 +91,13 @@ class TestBitIdentity:
     def test_fused_on_vs_off(self, impl, kw):
         on = _run(impl, True, **kw)
         off = _run(impl, False, **kw)
-        assert on.stats["engine_fused_segments"] > 0
+        if "faults" in kw:
+            assert on.stats["engine_fused_segments"] == 0
+            assert (on.stats["faults_injected"]
+                    == off.stats["faults_injected"] > 0)
+        else:
+            assert on.stats["engine_fused_segments"] > 0
+        assert off.stats["engine_fused_segments"] == 0
         _assert_identical(on, off)
 
     def test_paper_scale_double_buffering(self):
@@ -102,34 +110,45 @@ class TestBitIdentity:
         on = _run("double_buffering", True, n=48, steps=2)
         off = _run("double_buffering", False, n=48, steps=2)
         assert on.stats["engine_fused_segments"] > 0
+        assert off.stats["engine_fused_segments"] == 0
         _assert_identical(on, off)
 
 
-class TestFallbacks:
-    """Observation hooks must push the runtime off the walker path and
-    stay bit-identical with fused nominally on."""
+#: (case, run_somier keywords, (macro_replays, engine_fused_segments)) on
+#: Somier n=24, 12 steps, one_buffer, paper 4-GPU node
+DECISION_TABLE = [
+    ("plain", dict, (462, 23430)),
+    ("analyze", lambda: dict(analyze=True), (462, 0)),
+    ("fused_timeline_off", lambda: dict(fused=False), (462, 0)),
+    ("tool", lambda: dict(tools=(MetricsTool(),)), (0, 0)),
+    ("sanitizer", lambda: dict(sanitize=True), (0, 0)),
+    # injector armed, no fault ever fires
+    ("faults_armed", lambda: dict(faults="transfer:0.0"), (0, 0)),
+]
 
-    def test_sanitizer_disengages(self):
-        on = _run("one_buffer", True, sanitize=True)
-        off = _run("one_buffer", False, sanitize=True)
-        assert on.stats["engine_fused_segments"] == 0
-        assert on.stats["sanitizer_races"] == 0
-        _assert_identical(on, off)
+#: virtual seconds of that run, on every path
+DECISION_ELAPSED = 226.88128709639128
 
-    def test_analyzer_disengages(self):
-        on = _run("one_buffer", True, analyze=True)
-        off = _run("one_buffer", False, analyze=True)
-        assert on.stats["engine_fused_segments"] == 0
-        _assert_identical(on, off)
-        assert (on.runtime.analysis().headline()
-                == off.runtime.analysis().headline())
 
-    def test_faults_disengage(self):
-        on = _run("one_buffer", True, faults="transfer:0.05", fault_seed=7)
-        off = _run("one_buffer", False, faults="transfer:0.05", fault_seed=7)
-        assert on.stats["engine_fused_segments"] == 0
-        assert on.stats["faults_injected"] == off.stats["faults_injected"]
-        _assert_identical(on, off)
+class TestDecisionTable:
+    """Only what observes the run picks the warm spread path: macro replay
+    with walkers, macro replay on the generator path (the causal recorder
+    or ``fused_timeline=False``), or the object path (tools, sanitizer,
+    fault injector).  Every row matches the cold run with the same
+    observers to the bit."""
+
+    @pytest.mark.parametrize("kw,expected",
+                             [(kw, want) for _, kw, want in DECISION_TABLE],
+                             ids=[case for case, _, _ in DECISION_TABLE])
+    def test_path_choice(self, kw, expected):
+        warm = _run("one_buffer", steps=12, **kw())
+        cold = _run("one_buffer", steps=12, plan_cache=False, **kw())
+        assert (warm.stats["macro_replays"],
+                warm.stats["engine_fused_segments"]) == expected
+        assert warm.elapsed == DECISION_ELAPSED
+        if warm.runtime.sanitizer is not None:
+            assert warm.stats["sanitizer_races"] == 0
+        _assert_identical(warm, cold)
 
 
 class TestWalkerErrors:
@@ -182,19 +201,6 @@ class TestWalkerErrors:
 
 
 class TestKnob:
-    def test_resolve_fused_timeline_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSED_TIMELINE", raising=False)
-        assert resolve_fused_timeline(None) is True
-        assert resolve_fused_timeline(True) is True
-        assert resolve_fused_timeline(False) is False
-        for raw, want in (("0", False), ("off", False), ("false", False),
-                          ("no", False), ("1", True), ("on", True),
-                          ("", True), ("  ", True)):
-            monkeypatch.setenv("REPRO_FUSED_TIMELINE", raw)
-            assert resolve_fused_timeline(None) is want
-        monkeypatch.setenv("REPRO_FUSED_TIMELINE", "0")
-        assert resolve_fused_timeline(True) is True  # explicit beats env
-
     def test_engine_stats_exposed(self):
         res = _run("one_buffer", True)
         st = res.stats

@@ -2,11 +2,11 @@
 
 The acceptance contract of :mod:`repro.spread.macro` is the same as the
 plan cache's, one level down: replaying a *compiled* macro-op program must
-be observationally indistinguishable from re-walking the cached plan
-through the object path.  Same virtual clock, same trace events, same
-results, same sanitizer/analyzer output — with the cache on or off, with
-macro replay on (``REPRO_MACRO_OPS`` default) or off (``--no-macro-ops``),
-and across seeded device-loss failover.
+be observationally indistinguishable from the generic paths.  Same virtual
+clock, same trace events, same results, same sanitizer/analyzer output —
+against the cold ``plan_cache=False`` run with the same observers, against
+a run with a tool registered (which replays cache hits through the object
+path), and across seeded device-loss failover.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.device.kernel import KernelSpec
 from repro.obs import MetricsTool
 from repro.openmp import Map, OpenMPRuntime, Var
 from repro.openmp.depend import Dep
-from repro.openmp.runtime import resolve_macro_ops
 from repro.sim.topology import cte_power_node
 from repro.spread import (
     omp_spread_size,
@@ -41,10 +40,10 @@ def _hermetic_knob_env(monkeypatch):
     """Macro replay disengages whenever a fault injector, sanitizer or
     analyzer is armed (by design), so the engagement/counter assertions
     here require the CI env-matrix legs (``REPRO_FAULTS``,
-    ``REPRO_SANITIZE``, ``REPRO_ANALYZE``, ``REPRO_MACRO_OPS``) not to
-    leak in; the scenarios that want those hooks arm them explicitly."""
+    ``REPRO_SANITIZE``, ``REPRO_ANALYZE``) not to leak in; the scenarios
+    that want those hooks arm them explicitly."""
     for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
-                 "REPRO_ANALYZE", "REPRO_MACRO_OPS", "REPRO_FUSED_TIMELINE"):
+                 "REPRO_ANALYZE"):
         monkeypatch.delenv(knob, raising=False)
 
 
@@ -76,8 +75,7 @@ def _event_tuples(trace):
             for e in trace.events]
 
 
-def _composite_run(macro_ops, plan_cache=True, tools=(), depends=False,
-                   **rt_kw):
+def _composite_run(plan_cache=True, tools=(), depends=False, **rt_kw):
     """One run exercising all six spread directives, ITERS times over.
 
     Covers ``target spread`` (bare), the combined teams directive, enter/
@@ -86,7 +84,7 @@ def _composite_run(macro_ops, plan_cache=True, tools=(), depends=False,
     With ``depends=True`` the kernel launches carry depend clauses, so the
     replay goes through the two-phase DependTracker protocol.
     """
-    rt = make_rt(plan_cache=plan_cache, macro_ops=macro_ops, **rt_kw)
+    rt = make_rt(plan_cache=plan_cache, **rt_kw)
     for tool in tools:
         rt.tools.register(tool)
     A, B = np.arange(float(N)), np.zeros(N)
@@ -140,10 +138,13 @@ def _assert_identical(rt_on, rt_off, results_on, results_off):
 
 class TestBitIdentity:
     def test_macro_on_vs_off(self):
-        rt_on, A, B_on, X_on = _composite_run(True)
-        rt_off, _, B_off, X_off = _composite_run(False)
+        """Replay matches the object path, which a registered tool forces
+        on every plan-cache hit."""
+        rt_on, A, B_on, X_on = _composite_run()
+        rt_off, _, B_off, X_off = _composite_run(tools=(MetricsTool(),))
         assert rt_on.plan_cache.macro_replays > 0
         assert rt_on.plan_cache.macro_compiles > 0
+        assert rt_off.plan_cache.hits > 0
         assert rt_off.plan_cache.macro_replays == 0
         assert rt_off.plan_cache.macro_compiles == 0
         _assert_identical(rt_on, rt_off, (B_on, X_on), (B_off, X_off))
@@ -152,33 +153,36 @@ class TestBitIdentity:
 
     def test_macro_on_vs_cache_off(self):
         """Replay must also match fully uncached (cold every time)."""
-        rt_on, _, B_on, X_on = _composite_run(True)
-        rt_cold, _, B_cold, X_cold = _composite_run(True, plan_cache=False)
+        rt_on, _, B_on, X_on = _composite_run()
+        rt_cold, _, B_cold, X_cold = _composite_run(plan_cache=False)
         assert rt_cold.plan_cache.macro_replays == 0
         _assert_identical(rt_on, rt_cold, (B_on, X_on), (B_cold, X_cold))
 
     def test_depend_replay_identity(self):
         """Two-phase DependTracker replay matches submit_spread's."""
-        rt_on, _, B_on, X_on = _composite_run(True, depends=True)
-        rt_off, _, B_off, X_off = _composite_run(False, depends=True)
+        rt_on, _, B_on, X_on = _composite_run(depends=True)
+        rt_off, _, B_off, X_off = _composite_run(plan_cache=False,
+                                                 depends=True)
         assert rt_on.plan_cache.macro_replays > 0
         _assert_identical(rt_on, rt_off, (B_on, X_on), (B_off, X_off))
 
     def test_deterministic_run_to_run(self):
-        rt1, _, B1, X1 = _composite_run(True)
-        rt2, _, B2, X2 = _composite_run(True)
+        rt1, _, B1, X1 = _composite_run()
+        rt2, _, B2, X2 = _composite_run()
         _assert_identical(rt1, rt2, (B1, X1), (B2, X2))
         assert rt1.plan_cache.stats == rt2.plan_cache.stats
 
 
 class TestObserverGating:
     """Anything that observes per-op bookkeeping must force the object
-    path — and the run must still be bit-identical either way."""
+    path — and the run must still match the cold run with the same
+    observer."""
 
     def test_tools_disengage_macro(self):
         tool_on, tool_off = MetricsTool(), MetricsTool()
-        rt_on, _, B_on, X_on = _composite_run(True, tools=(tool_on,))
-        rt_off, _, B_off, X_off = _composite_run(False, tools=(tool_off,))
+        rt_on, _, B_on, X_on = _composite_run(tools=(tool_on,))
+        rt_off, _, B_off, X_off = _composite_run(plan_cache=False,
+                                                 tools=(tool_off,))
         assert rt_on.plan_cache.macro_replays == 0  # tools observe ops
         _assert_identical(rt_on, rt_off, (B_on, X_on), (B_off, X_off))
         ra, rb = tool_on.registry, tool_off.registry
@@ -186,16 +190,19 @@ class TestObserverGating:
             assert ra.sum_counter(key) == rb.sum_counter(key)
 
     def test_sanitizer_identity(self):
-        rt_on, _, B_on, X_on = _composite_run(True, sanitize=True)
-        rt_off, _, B_off, X_off = _composite_run(False, sanitize=True)
+        rt_on, _, B_on, X_on = _composite_run(sanitize=True)
+        rt_off, _, B_off, X_off = _composite_run(plan_cache=False,
+                                                 sanitize=True)
         assert rt_on.sanitizer is not None
         assert rt_on.plan_cache.macro_replays == 0  # sanitizer armed
         _assert_identical(rt_on, rt_off, (B_on, X_on), (B_off, X_off))
         assert rt_on.sanitizer.races == rt_off.sanitizer.races == 0
 
     def test_analyzer_critpath_identity(self):
-        rt_on, _, B_on, X_on = _composite_run(True, analyze=True)
-        rt_off, _, B_off, X_off = _composite_run(False, analyze=True)
+        rt_on, _, B_on, X_on = _composite_run(analyze=True)
+        rt_off, _, B_off, X_off = _composite_run(plan_cache=False,
+                                                 analyze=True)
+        assert rt_on.plan_cache.macro_replays > 0
         _assert_identical(rt_on, rt_off, (B_on, X_on), (B_off, X_off))
         rep_on = rt_on.analysis().report()
         rep_off = rt_off.analysis().report()
@@ -205,15 +212,15 @@ class TestObserverGating:
 class TestFailover:
     def test_device_loss_identity(self):
         kw = dict(faults="device@1:#2", fault_seed=7)
-        rt_on, _, B_on, X_on = _composite_run(True, **kw)
-        rt_off, _, B_off, X_off = _composite_run(False, **kw)
+        rt_on, _, B_on, X_on = _composite_run(**kw)
+        rt_off, _, B_off, X_off = _composite_run(plan_cache=False, **kw)
         assert rt_on.lost_devices == rt_off.lost_devices != frozenset()
         _assert_identical(rt_on, rt_off, (B_on, X_on), (B_off, X_off))
         assert np.array_equal(X_on, _expected_X())
 
     def test_device_loss_drops_compiled_programs(self):
         """Eviction is atomic: a dropped plan takes its program along."""
-        rt, _, _, _ = _composite_run(True)
+        rt, _, _, _ = _composite_run()
         stats = rt.plan_cache.stats
         assert stats["macro_entries"] > 0
         before = len(rt.plan_cache)
@@ -225,8 +232,7 @@ class TestFailover:
         assert after["invalidations"] == stats["invalidations"] + dropped
 
     def test_no_macro_engagement_after_loss(self):
-        rt, _, _, X = _composite_run(True, faults="device@1:#1",
-                                     fault_seed=3)
+        rt, _, _, X = _composite_run(faults="device@1:#1", fault_seed=3)
         assert rt.lost_devices
         assert not macro.engaged(rt)
         assert np.array_equal(X, _expected_X())
@@ -234,7 +240,7 @@ class TestFailover:
 
 class TestCountersAndKnobs:
     def test_macro_counters(self):
-        rt, _, _, _ = _composite_run(True)
+        rt, _, _, _ = _composite_run()
         st = rt.plan_cache.stats
         # Compilation happens on first *hit*: the teams exec, the update,
         # the region pair and the bare exec all repeat (and compile);
@@ -242,19 +248,6 @@ class TestCountersAndKnobs:
         assert st["macro_compiles"] == 4
         assert st["macro_replays"] > st["macro_compiles"]
         assert st["macro_entries"] == st["macro_compiles"]
-
-    def test_resolve_macro_ops_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MACRO_OPS", raising=False)
-        assert resolve_macro_ops(None) is True
-        assert resolve_macro_ops(True) is True
-        assert resolve_macro_ops(False) is False
-        for raw, want in (("0", False), ("off", False), ("false", False),
-                          ("no", False), ("1", True), ("on", True),
-                          ("", True), ("  ", True)):
-            monkeypatch.setenv("REPRO_MACRO_OPS", raw)
-            assert resolve_macro_ops(None) is want
-        monkeypatch.setenv("REPRO_MACRO_OPS", "0")
-        assert resolve_macro_ops(True) is True  # explicit beats env
 
     def test_uncompilable_plan_tried_once(self):
         """A plan the compiler rejects leaves the False sentinel so the
@@ -277,7 +270,7 @@ class TestCountersAndKnobs:
         assert cache.stats["macro_entries"] == 0  # sentinel is not a program
 
     def test_program_arrays_well_formed(self):
-        rt, _, _, _ = _composite_run(True)
+        rt, _, _, _ = _composite_run()
         progs = [cell[1] for cell in rt.plan_cache._plans.values()
                  if cell[1] not in (None, False)]
         assert progs
@@ -285,6 +278,5 @@ class TestCountersAndKnobs:
             entries = prog if isinstance(prog, tuple) else (prog,)
             for p in entries:
                 assert p.well_formed()
-                assert len(p.kinds) == len(p.records)
-                assert p.map_index[-1] == p.map_bounds.shape[0]
-                assert p.total_bytes >= 0
+        bad = macro.MacroRecord(macro.OP_KERNEL, 0, 5, 4, (), (), "k", "k", 0)
+        assert not macro.MacroProgram([bad]).well_formed()

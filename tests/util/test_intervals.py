@@ -233,41 +233,3 @@ class TestIntervalSetEdgeCases:
         assert a != IntervalSet([Interval(0, 6)])
         assert a.__eq__(42) is NotImplemented
 
-
-class TestBatchHelpers:
-    """The NumPy packing helpers must agree with the scalar algebra
-    pointwise — the macro-op replay engine substitutes them for
-    per-interval Python loops."""
-
-    def _random_intervals(self, n=60, seed=99):
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        starts = rng.integers(-50, 200, size=n)
-        widths = rng.integers(0, 40, size=n)  # width 0 -> empty interval
-        return [Interval(int(s), int(s + w))
-                for s, w in zip(starts, widths)]
-
-    def test_pack_unpack_roundtrip(self):
-        from repro.util.intervals import pack_intervals
-
-        ivs = self._random_intervals()
-        packed = pack_intervals(ivs)
-        assert packed.shape == (len(ivs), 2)
-        assert packed.dtype.kind == "i"
-        assert [tuple(row) for row in packed.tolist()] == \
-            [(iv.start, iv.stop) for iv in ivs]
-
-    def test_pack_empty_sequence(self):
-        from repro.util.intervals import batch_widths, pack_intervals
-
-        packed = pack_intervals([])
-        assert packed.shape == (0, 2)
-        assert batch_widths(packed).shape == (0,)
-
-    def test_batch_widths_matches_len(self):
-        from repro.util.intervals import batch_widths, pack_intervals
-
-        ivs = self._random_intervals()
-        widths = batch_widths(pack_intervals(ivs))
-        assert list(widths) == [len(iv) for iv in ivs]
