@@ -282,7 +282,7 @@ class OpenMPRuntime:
         self._lost_devices.add(device_id)
         self.devices[device_id].lost = True
         purged = self.dataenvs[device_id].purge()
-        dropped = self.plan_cache.invalidate_device(device_id)
+        dropped = self.plan_cache.invalidate_devices((device_id,))
         tools = self.tools
         if tools:
             tools.dispatch(FAULT_EVENT, kind="device_lost",
@@ -306,7 +306,7 @@ class OpenMPRuntime:
         Every device the node hosts is flagged lost and its present table
         purged; every cached spread plan routing chunks to *any* of them
         is invalidated in one cache pass
-        (:meth:`~repro.spread.plan_cache.SpreadPlanCache.invalidate_node`).
+        (:meth:`~repro.spread.plan_cache.SpreadPlanCache.invalidate_devices`).
         Spread-level failover then re-routes the node's whole chunk share
         onto the surviving nodes' devices, chunk by chunk, with the usual
         routing formula.
@@ -326,7 +326,7 @@ class OpenMPRuntime:
             self._lost_devices.add(d)
             self.devices[d].lost = True
             purged += self.dataenvs[d].purge()
-        dropped = self.plan_cache.invalidate_node(node_devs)
+        dropped = self.plan_cache.invalidate_devices(node_devs)
         tools = self.tools
         if tools:
             tools.dispatch(FAULT_EVENT, kind="node_lost", node=node_id,

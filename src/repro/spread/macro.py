@@ -1,13 +1,14 @@
-"""Macro-op replay: the compiled fast path for cached spread plans.
+"""Macro-op replay: the compiled fast path for cached ``target spread`` plans.
 
 On a :class:`~repro.spread.plan_cache.SpreadPlanCache` hit the directive
 layer normally re-walks the cached plan and rebuilds the full per-chunk
 object graph — task bodies, wait lists, present-table lookups — on every
 launch.  That object churn is what capped warm launches at ~16k/s.
 
-This module compiles a cached plan (once, on first replay) into a flat,
-immutable **macro-op program**: a tuple of slotted per-chunk records.  A
-replay then runs a tight interpreter loop over the records:
+This module compiles a cached ``target spread`` plan (once, on first
+replay) into a flat, immutable **macro-op program**: a tuple of slotted
+per-chunk kernel records.  A replay then runs a tight interpreter loop
+over the records:
 
 * present-table resolutions (entry + kernel view per map clause) are cached
   per record and validated against :attr:`DeviceDataEnv.epoch` — the
@@ -34,6 +35,13 @@ epoch *at run time* (the present table can change between submit and run)
 and falls back to the generic :func:`repro.openmp.exec_ops.kernel_op`
 generator when it moved.
 
+Only ``target spread`` replays.  The data directives (``target enter/exit
+data spread``, the ``target data spread`` region, ``target update spread``)
+reuse their cached plan through the object path: their chunk ops are the
+same ``enter_op``/``exit_op``/``update_op`` generators either way, so a
+compiled program would save them nothing (measured in
+``docs/performance.md``).
+
 There is no switch for this path: what observes the run picks it (see
 :func:`engaged`).  ``tests/spread/test_macro_replay.py`` enforces bit
 identity against the cold (``plan_cache=False``) run and against a run
@@ -49,15 +57,9 @@ from repro.openmp.depend import compile_deps
 from repro.sim import timeline as _timeline
 from repro.sim.engine import Process
 
-# Op-kind codes of macro records.
-OP_KERNEL = 0
-OP_ENTER = 1
-OP_EXIT = 2
-OP_UPDATE = 3
-
 
 class MacroRecord:
-    """One lowered chunk op of a macro program.
+    """One lowered kernel chunk of a macro program.
 
     ``steady`` caches the present-table resolution for the record's device:
     ``(epoch, held, kenv, found)`` where ``held`` is the per-clause
@@ -69,13 +71,11 @@ class MacroRecord:
     before every use.
     """
 
-    __slots__ = ("kind", "device_id", "lo", "hi", "maps", "deps", "name",
-                 "label", "chunk_index", "extra", "steady")
+    __slots__ = ("device_id", "lo", "hi", "maps", "deps", "name", "label",
+                 "chunk_index", "steady")
 
-    def __init__(self, kind: int, device_id: int, lo: int, hi: int,
-                 maps, deps, name: str, label: str, chunk_index: int,
-                 extra=None) -> None:
-        self.kind = kind
+    def __init__(self, device_id: int, lo: int, hi: int, maps, deps,
+                 name: str, label: str, chunk_index: int) -> None:
         self.device_id = device_id
         self.lo = lo
         self.hi = hi
@@ -84,7 +84,6 @@ class MacroRecord:
         self.name = name
         self.label = label
         self.chunk_index = chunk_index
-        self.extra = extra
         self.steady = None
 
 
@@ -135,34 +134,13 @@ def engaged(rt) -> bool:
             and rt.fault_injector is None and not rt._lost_devices)
 
 
-def _compile(plan, kind: int, label_of, extra_of=None) -> Optional[MacroProgram]:
-    records = []
-    for cp in plan.chunk_plans:
-        chunk = cp.chunk
-        lo = chunk.start if kind == OP_KERNEL else chunk.interval.start
-        records.append(MacroRecord(
-            kind, chunk.device, lo, chunk.interval.stop, cp.maps,
-            tuple(cp.deps), cp.name, cp.label or label_of(chunk),
-            chunk.index, extra=extra_of(cp) if extra_of is not None else None))
-    prog = MacroProgram(records)
-    return prog if prog.well_formed() else None
-
-
 def compile_exec(plan) -> Optional[MacroProgram]:
     """Compile a ``target spread`` execution plan (kernel per chunk)."""
-    return _compile(plan, OP_KERNEL, lambda c: f"spread@{c.device}")
-
-
-def compile_data(plan, kind: int, label: str) -> Optional[MacroProgram]:
-    """Compile an enter/exit data plan; *label* matches the object path's
-    op labels (e.g. ``enter-spread`` → ``enter-spread@<dev>``)."""
-    return _compile(plan, kind, lambda c: f"{label}@{c.device}")
-
-
-def compile_update(plan) -> Optional[MacroProgram]:
-    """Compile a ``target update spread`` plan (sections in ``extra``)."""
-    return _compile(plan, OP_UPDATE, lambda c: f"update-spread@{c.device}",
-                    extra_of=lambda cp: cp.extra)
+    prog = MacroProgram([
+        MacroRecord(cp.chunk.device, cp.chunk.start, cp.chunk.interval.stop,
+                    cp.maps, cp.deps, cp.name, cp.label, cp.chunk.index)
+        for cp in plan.chunk_plans])
+    return prog if prog.well_formed() else None
 
 
 def program_for(cache, cell, compile_fn):
@@ -412,52 +390,6 @@ def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
     # Two-phase depend protocol: sibling chunks all resolved against the
     # pre-directive frontier above; only now do they register their own
     # records (submit_spread's exact ordering).
-    if dep_waits is not None:
-        depend.register_compiled(prog.dep_plan, procs)
-    sim.schedule_batch(starts)
-    _batch_bookkeeping(ctx, rt, procs)
-    return procs
-
-
-def replay_data(ctx, prog: MacroProgram, fuse: bool,
-                directive_id: int) -> List[Process]:
-    """Interpret a compiled enter/exit/update data program."""
-    rt = ctx.rt
-    sim = rt.sim
-    envs = rt.dataenvs
-    depend = rt.depend
-    dep_waits = _resolve_deps_compiled(prog, depend)
-    procs: List[Process] = []
-    starts = []
-    for i, rec in enumerate(prog.records):
-        env = envs[rec.device_id]
-        kind = rec.kind
-        if kind == OP_ENTER:
-            opgen = exec_ops.enter_op(rt, rec.device_id, rec.maps,
-                                      fuse_transfers=fuse, label=rec.label)
-        elif kind == OP_EXIT:
-            opgen = exec_ops.exit_op(rt, rec.device_id, rec.maps,
-                                     fuse_transfers=fuse, label=rec.label)
-        else:
-            to_sections, from_sections = rec.extra
-            opgen = exec_ops.update_op(rt, rec.device_id, to_sections,
-                                       from_sections, fuse_transfers=fuse,
-                                       label=rec.label)
-        found = []
-        for clause, interval in rec.maps:
-            entry = _quiet_lookup(env, clause.var, interval)
-            if entry is not None:
-                found.append(entry)
-        waits = _gather_waits(found)
-        if rec.deps:
-            _merge_dep_waits(waits, dep_waits[i])
-        gen = _plain_body(rt, waits, opgen)
-        proc = Process.spawn_task(sim, gen, rec.name,
-                                  (directive_id, rec.chunk_index, None))
-        for entry in found:
-            entry.inflight.append(proc)
-        starts.append(proc._start)
-        procs.append(proc)
     if dep_waits is not None:
         depend.register_compiled(prog.dep_plan, procs)
     sim.schedule_batch(starts)

@@ -40,11 +40,12 @@ lowering is part of the key.  Rebinding a name to a *new*
 :class:`~repro.openmp.mapping.Var` (or changing an array's extent)
 changes the key, so the old entry is simply never hit again.  The one
 event that does invalidate is *device loss* (fault injection):
-:meth:`SpreadPlanCache.invalidate_device` drops every plan that routed
-chunks to the lost device.  This is hygiene more than correctness —
-failover re-routes chunks at launch time regardless of what the plan
-says — but it keeps the cache from pinning plans that will never replay
-verbatim again and keeps its entry count honest.
+:meth:`SpreadPlanCache.invalidate_devices` drops every plan that routed
+chunks to a lost device (or to any device of a lost node).  This is
+hygiene more than correctness — failover re-routes chunks at launch time
+regardless of what the plan says — but it keeps the cache from pinning
+plans that will never replay verbatim again and keeps its entry count
+honest.
 Anything the key cannot prove stable (an unhashable section, a dynamic
 schedule) falls back to the uncached slow path.  ``plan_cache=False`` on
 the runtime (CLI ``--no-plan-cache``) disables lookup and store entirely.
@@ -106,7 +107,8 @@ class SpreadPlanCache:
         # sentinel for a plan that was tried and found uncompilable so the
         # attempt is not repeated on every hit.  Keeping it in the same
         # cell means a hit pays ONE key hash for both lookups and an
-        # evicted plan can never leave a stale program behind.
+        # evicted plan can never leave a stale program behind.  Only
+        # ``target spread`` compiles; data-directive cells keep None.
         self._plans: Dict[Any, List[Any]] = {}
         self.hits = 0
         self.misses = 0
@@ -131,11 +133,6 @@ class SpreadPlanCache:
             self.hits += 1
         return cell
 
-    def get(self, key: Any) -> Optional[Any]:
-        """The cached plan for *key*, or None (counting a miss)."""
-        cell = self.lookup(key)
-        return cell[0] if cell is not None else None
-
     def store(self, key: Any, plan: Any) -> None:
         if key is None or not self.enabled:
             return
@@ -147,28 +144,16 @@ class SpreadPlanCache:
     def clear(self) -> None:
         self._plans.clear()
 
-    def invalidate_device(self, device_id: int) -> int:
-        """Drop every cached plan that routes work to *device_id*.
-
-        Called by :meth:`OpenMPRuntime.mark_device_lost`.  Returns the
-        number of cache entries dropped.
-        """
-        return self.invalidate_devices((device_id,))
-
-    def invalidate_node(self, device_ids: Sequence[int]) -> int:
-        """Drop every cached plan routing work to a lost *node* (all of
-        its devices at once).  One pass over the cache, however many
-        devices the node hosted — called by
-        :meth:`OpenMPRuntime.mark_node_lost`."""
-        return self.invalidate_devices(device_ids)
-
     def invalidate_devices(self, device_ids: Sequence[int]) -> int:
         """Drop every cached plan that routes work to any of *device_ids*.
 
-        Returns the number of cache entries dropped.  Some entries hold
-        a tuple of plans (a spread data region caches its enter and exit
-        plans together); such an entry is dropped if *any* member
-        references one of the devices.
+        Called by :meth:`OpenMPRuntime.mark_device_lost` with one device
+        and by :meth:`OpenMPRuntime.mark_node_lost` with all of a node's
+        devices (one pass over the cache either way).  Returns the number
+        of cache entries dropped.  Some entries hold a tuple of plans (a
+        spread data region caches its enter and exit plans together);
+        such an entry is dropped if *any* member references one of the
+        devices.
 
         Each evicted ``[plan, macro_state]`` cell is also *poisoned in
         place* — plan slot cleared, macro slot set to the ``False``

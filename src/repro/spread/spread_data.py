@@ -21,7 +21,10 @@ placement follows the same two-level split as the kernels):
 Like the executable directives, each data directive lowers through the
 runtime's :class:`~repro.spread.plan_cache.SpreadPlanCache`: the chunking
 and per-chunk section concretization are computed on first execution and
-replayed bit-identically on structurally identical invocations.
+replayed bit-identically on structurally identical invocations.  A hit
+builds the chunk ops from the cached plan through the same object path
+as a miss.  Unlike ``target spread``, a data directive is not compiled
+for replay: a compiled program would build the same ops.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from repro.openmp.mapping import (
 from repro.openmp.tasks import TaskCtx
 from repro.spread import extensions as ext
 from repro.spread import failover as fo
-from repro.spread import macro
 from repro.spread import plan_cache as pc
 from repro.spread.schedule import Chunk, StaticSchedule, validate_devices
 from repro.spread.spread_target import SpreadHandle
@@ -216,22 +218,8 @@ def target_enter_data_spread(ctx: TaskCtx, devices: Sequence[int],
         plan = _build_data_plan(chunks, maps, depends, "enter-spread")
         cache.store(key, plan)
         pc.note_plan_cache(rt, kind, key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, kind, key, hit=True)
-        if macro.engaged(rt):
-            prog = macro.program_for(cache, cell, lambda: macro.compile_data(
-                plan, macro.OP_ENTER, "enter-spread"))
-            if prog is not None:
-                info = prog.info
-                if info is None:
-                    prog.info = info = rt.directive_info_for(kind)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_data(ctx, prog, fuse_transfers, did)
-                handle = SpreadHandle(ctx, procs, plan.chunks)
-                if not nowait:
-                    yield from handle.wait()
-                return handle
+    elif rt.tools:
+        pc.note_plan_cache(rt, kind, key, hit=True)
 
     def factory(chunk: Chunk, concrete, device_id: int, rerouted: bool):
         if rerouted:
@@ -272,22 +260,8 @@ def target_exit_data_spread(ctx: TaskCtx, devices: Sequence[int],
         plan = _build_data_plan(chunks, maps, depends, "exit-spread")
         cache.store(key, plan)
         pc.note_plan_cache(rt, kind, key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, kind, key, hit=True)
-        if macro.engaged(rt):
-            prog = macro.program_for(cache, cell, lambda: macro.compile_data(
-                plan, macro.OP_EXIT, "exit-spread"))
-            if prog is not None:
-                info = prog.info
-                if info is None:
-                    prog.info = info = rt.directive_info_for(kind)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_data(ctx, prog, fuse_transfers, did)
-                handle = SpreadHandle(ctx, procs, plan.chunks)
-                if not nowait:
-                    yield from handle.wait()
-                return handle
+    elif rt.tools:
+        pc.note_plan_cache(rt, kind, key, hit=True)
 
     def factory(chunk: Chunk, concrete, device_id: int, rerouted: bool):
         if rerouted:
@@ -314,18 +288,12 @@ class SpreadDataRegion:
 
     def __init__(self, ctx: TaskCtx, end_plan: pc.SpreadPlan,
                  fuse_transfers: bool,
-                 directive_id: Optional[int] = None,
-                 end_prog=None):
+                 directive_id: Optional[int] = None):
         self._ctx = ctx
         self._end_plan = end_plan
         self._fuse = fuse_transfers
         self._closed = False
         self._directive_id = directive_id
-        # Compiled macro program for the region end, when the enter half
-        # replayed through the macro engine.  end() re-checks engagement:
-        # a device loss inside the region must fall back to the object
-        # path (which routes around the lost device).
-        self._end_prog = end_prog
 
     def end(self) -> Generator:
         """Leave the region: distributed copy-backs, synchronously."""
@@ -333,14 +301,6 @@ class SpreadDataRegion:
             raise OmpSemaError("target data spread region already closed")
         self._closed = True
         rt = self._ctx.rt
-        if self._end_prog is not None and macro.engaged(rt):
-            procs = macro.replay_data(self._ctx, self._end_prog, self._fuse,
-                                      self._directive_id)
-            handle = SpreadHandle(self._ctx, procs, self._end_plan.chunks)
-            yield from handle.wait()
-            _directive_end(self._ctx, self._directive_id,
-                           self._end_plan.chunks)
-            return handle
 
         def factory(chunk: Chunk, concrete, device_id: int, rerouted: bool):
             if rerouted:
@@ -357,23 +317,6 @@ class SpreadDataRegion:
                                      residency="exit")
         _directive_end(self._ctx, self._directive_id, self._end_plan.chunks)
         return handle
-
-
-def _compile_region(plans):
-    """Compile both halves of a ``target data spread`` region, or neither.
-
-    The cached value is the (enter, end) program pair; a ``None`` from
-    either half (e.g. malformed bounds) vetoes the whole region so the
-    two halves can never disagree about which path they run on.
-    """
-    enter_plan, end_plan = plans
-    enter_prog = macro.compile_data(enter_plan, macro.OP_ENTER, "data-spread")
-    if enter_prog is None:
-        return None
-    end_prog = macro.compile_data(end_plan, macro.OP_EXIT, "data-spread-end")
-    if end_prog is None:
-        return None
-    return (enter_prog, end_prog)
 
 
 def target_data_spread(ctx: TaskCtx, devices: Sequence[int],
@@ -408,24 +351,8 @@ def target_data_spread(ctx: TaskCtx, devices: Sequence[int],
                  _build_data_plan(chunks, maps, (), "data-spread-end"))
         cache.store(key, plans)
         pc.note_plan_cache(rt, kind, key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, kind, key, hit=True)
-        if macro.engaged(rt):
-            progs = macro.program_for(cache, cell,
-                                      lambda: _compile_region(plans))
-            if progs is not None:
-                enter_prog, end_prog = progs
-                info = enter_prog.info
-                if info is None:
-                    enter_prog.info = info = rt.directive_info_for(kind)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_data(ctx, enter_prog, fuse_transfers,
-                                          did)
-                handle = SpreadHandle(ctx, procs, plans[0].chunks)
-                yield from handle.wait()
-                return SpreadDataRegion(ctx, plans[1], fuse_transfers,
-                                        directive_id=did, end_prog=end_prog)
+    elif rt.tools:
+        pc.note_plan_cache(rt, kind, key, hit=True)
     enter_plan, end_plan = plans
 
     def factory(chunk: Chunk, concrete, device_id: int, rerouted: bool):
@@ -495,22 +422,8 @@ def target_update_spread(ctx: TaskCtx, devices: Sequence[int],
                              chunk_plans=tuple(chunk_plans))
         cache.store(key, plan)
         pc.note_plan_cache(rt, kind, key, hit=False)
-    else:
-        if rt.tools:
-            pc.note_plan_cache(rt, kind, key, hit=True)
-        if macro.engaged(rt):
-            prog = macro.program_for(cache, cell,
-                                     lambda: macro.compile_update(plan))
-            if prog is not None:
-                info = prog.info
-                if info is None:
-                    prog.info = info = rt.directive_info_for(kind)
-                did = rt.alloc_directive_id(info)
-                procs = macro.replay_data(ctx, prog, fuse_transfers, did)
-                handle = SpreadHandle(ctx, procs, plan.chunks)
-                if not nowait:
-                    yield from handle.wait()
-                return handle
+    elif rt.tools:
+        pc.note_plan_cache(rt, kind, key, hit=True)
 
     resilient = rt.fault_injector is not None or rt.lost_devices
     items = []

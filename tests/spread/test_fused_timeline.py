@@ -117,9 +117,9 @@ class TestBitIdentity:
 #: (case, run_somier keywords, (macro_replays, engine_fused_segments)) on
 #: Somier n=24, 12 steps, one_buffer, paper 4-GPU node
 DECISION_TABLE = [
-    ("plain", dict, (462, 23430)),
-    ("analyze", lambda: dict(analyze=True), (462, 0)),
-    ("fused_timeline_off", lambda: dict(fused=False), (462, 0)),
+    ("plain", dict, (330, 23430)),
+    ("analyze", lambda: dict(analyze=True), (330, 0)),
+    ("fused_timeline_off", lambda: dict(fused=False), (330, 0)),
     ("tool", lambda: dict(tools=(MetricsTool(),)), (0, 0)),
     ("sanitizer", lambda: dict(sanitize=True), (0, 0)),
     # injector armed, no fault ever fires

@@ -182,7 +182,7 @@ class TestCacheBehaviour:
     def test_no_plan_cache_flag_disables_store(self):
         cache = SpreadPlanCache(enabled=False)
         cache.store(("k",), "plan")
-        assert cache.get(("k",)) is None
+        assert cache.lookup(("k",)) is None
         assert len(cache) == 0
         assert cache.stats == {"hits": 0, "misses": 0, "entries": 0,
                                "invalidations": 0, "macro_compiles": 0,
@@ -192,14 +192,14 @@ class TestCacheBehaviour:
         cache = SpreadPlanCache()
         key = ("exec", [1, 2])  # list: unhashable
         cache.store(key, "plan")
-        assert cache.get(key) is None
+        assert cache.lookup(key) is None
         assert cache.stats == {"hits": 0, "misses": 0, "entries": 0,
                                "invalidations": 0, "macro_compiles": 0,
                                "macro_replays": 0, "macro_entries": 0}
 
     def test_none_key_not_counted(self):
         cache = SpreadPlanCache()
-        assert cache.get(None) is None
+        assert cache.lookup(None) is None
         cache.store(None, "plan")
         assert cache.stats == {"hits": 0, "misses": 0, "entries": 0,
                                "invalidations": 0, "macro_compiles": 0,
@@ -292,7 +292,7 @@ class TestLossInvalidationPoisoning:
 
     def test_invalidation_drops_key_and_poisons_cell(self):
         cache, cell = self._seeded()
-        assert cache.invalidate_device(1) == 1
+        assert cache.invalidate_devices((1,)) == 1
         assert len(cache) == 0
         assert cell[0] is None
         assert cell[1] is False
@@ -301,7 +301,7 @@ class TestLossInvalidationPoisoning:
         from repro.spread import macro
 
         cache, cell = self._seeded()
-        cache.invalidate_device(0)
+        cache.invalidate_devices((0,))
         calls = []
         assert macro.program_for(cache, cell,
                                  lambda: calls.append(1)) is None
@@ -313,7 +313,7 @@ class TestLossInvalidationPoisoning:
         from repro.spread.plan_cache import SpreadPlan
 
         cache, stale = self._seeded()
-        cache.invalidate_device(1)
+        cache.invalidate_devices((1,))
         fresh_plan = SpreadPlan(devices=(0, 1), chunks=(), chunk_plans=())
         cache.store("k", fresh_plan)
         fresh = cache.lookup("k")
@@ -321,7 +321,7 @@ class TestLossInvalidationPoisoning:
         assert fresh[0] is fresh_plan and fresh[1] is None
         assert stale[0] is None and stale[1] is False
 
-    def test_invalidate_node_sweeps_all_node_devices_in_one_pass(self):
+    def test_invalidate_devices_sweeps_all_node_devices_in_one_pass(self):
         from repro.spread.plan_cache import SpreadPlan
         from repro.spread.schedule import StaticSchedule
 
@@ -331,7 +331,7 @@ class TestLossInvalidationPoisoning:
             cache.store(key, SpreadPlan(devices=devs, chunks=chunks,
                                         chunk_plans=()))
         cells = {k: cache.lookup(k) for k in ("a", "b", "c")}
-        assert cache.invalidate_node((2, 3, 4)) == 2
+        assert cache.invalidate_devices((2, 3, 4)) == 2
         assert len(cache) == 1
         assert cells["a"][0] is not None
         for k in ("b", "c"):
