@@ -26,6 +26,7 @@ to contend).
 from __future__ import annotations
 
 import json
+from array import array
 from heapq import nlargest
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -38,36 +39,32 @@ CRITPATH_SCHEMA = "repro-critpath-1"
 _TRANSFERS = (H2D, D2H)
 
 
-def _issue(ev) -> float:
-    return ev.meta.get("issue", ev.start)
-
-
-def _ready(ev) -> float:
-    return ev.meta.get("ready", ev.start)
-
-
-def _done(ev) -> float:
-    return ev.meta.get("done", ev.end)
-
-
 def _attempt(ev) -> int:
     return ev.meta.get("attempt", 0)
 
 
 def _subtract(xs: Sequence[Tuple[float, float]],
               ys: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Disjoint sorted intervals *xs* minus disjoint sorted intervals *ys*."""
+    """Disjoint sorted intervals *xs* minus disjoint sorted intervals *ys*.
+
+    One merge pass: ``j`` skips the *ys* that end before the current *x*;
+    a *y* spanning several *xs* stays in reach for each of them.
+    """
     out: List[Tuple[float, float]] = []
+    j, ny = 0, len(ys)
     for a, b in xs:
+        while j < ny and ys[j][1] <= a:
+            j += 1
         cur = a
-        for ya, yb in ys:
-            if yb <= cur or ya >= b:
-                continue
+        k = j
+        while k < ny and ys[k][0] < b:
+            ya, yb = ys[k]
             if ya > cur:
                 out.append((cur, ya))
             cur = max(cur, yb)
             if cur >= b:
                 break
+            k += 1
         if cur < b:
             out.append((cur, b))
     return out
@@ -84,8 +81,12 @@ class CausalRecorder:
     (released slot → granted waiter) through :meth:`contention`.
     """
 
-    #: frontier cap: joins keep the most recent ops; the max-completion
-    #: predecessor the critical path needs is always among them
+    #: frontier cap: a merging join keeps the MAX_HEADS most recent ops.
+    #: That the binding (max-completion) predecessor survives the cut is
+    #: not proven; tests/obs/test_critpath.py checks it by comparing the
+    #: full report against an uncapped recorder on its small and
+    #: faults/failover runs.  Frontier adoption (``on_join`` into an empty
+    #: frontier) is not capped: cluster frontiers reach 552 ops.
     MAX_HEADS = 64
 
     def __init__(self) -> None:
@@ -170,16 +171,26 @@ class CritPathAnalysis:
         self.num_devices = num_devices
         self.events = trace.events
         self.makespan = trace.makespan()
+        #: per-event stamps, read from ``meta`` once
+        self.issue = [e.meta.get("issue", e.start) for e in self.events]
+        self.ready = [e.meta.get("ready", e.start) for e in self.events]
+        self.done = [e.meta.get("done", e.end) for e in self.events]
         #: event index -> sorted dependency predecessor event indices
         self.dep_preds: Dict[int, List[int]] = {}
+        #: id of a dep_preds list -> its binding predecessor
+        self._binding: Dict[int, int] = {}
         #: event index -> [(predecessor event index, resource name)]
         self.res_preds: Dict[int, List[Tuple[int, str]]] = {}
         op_event = recorder.op_event
+        done = self.done
         # Frontier tuples are shared across ops by inheritance (see
-        # CausalRecorder.op_deps), so expansion memoizes on tuple identity;
-        # the tuples stay alive in op_deps, keeping ids stable.  An op's own
-        # id can never appear in its frontier (ids are assigned at begin,
-        # frontiers hold completed ops), so the lists need no per-dst copy.
+        # CausalRecorder.op_deps), so expansion memoizes on tuple identity
+        # and the expanded lists stay shared: the binding predecessor is
+        # found once per distinct list.  The tuples stay alive in op_deps
+        # and the lists in dep_preds, keeping ids stable.  An op's frontier
+        # holds ops that completed before it began, so their events
+        # precede its own in the trace; only a hand-built trace can list a
+        # later one, and such an edge is dropped (in a per-dst copy).
         expanded: Dict[int, List[int]] = {}
         for dst_op, heads in recorder.op_deps.items():
             dst = op_event.get(dst_op)
@@ -189,8 +200,13 @@ class CritPathAnalysis:
             if preds is None:
                 preds = sorted({op_event[h] for h in heads if h in op_event})
                 expanded[id(heads)] = preds
+            if preds and preds[-1] >= dst:
+                preds = [p for p in preds if p < dst]
             if preds:
                 self.dep_preds[dst] = preds
+                if id(preds) not in self._binding:
+                    self._binding[id(preds)] = max(reversed(preds),
+                                                   key=done.__getitem__)
         for blocked_op, blocker_op, rname in recorder.res_edges:
             dst = op_event.get(blocked_op)
             src = op_event.get(blocker_op)
@@ -199,6 +215,12 @@ class CritPathAnalysis:
             self.res_preds.setdefault(dst, []).append((src, rname))
         self._cp: Optional[dict] = None
         self._attr: Optional[dict] = None
+
+    def binding(self, dst: int) -> Optional[int]:
+        """Event *dst*'s binding dependency predecessor: the latest to
+        complete, ties to the highest index (None without predecessors)."""
+        preds = self.dep_preds.get(dst)
+        return self._binding[id(preds)] if preds else None
 
     # -- critical path -----------------------------------------------------
 
@@ -239,7 +261,7 @@ class CritPathAnalysis:
                 "chunk": ev.meta.get("chunk"),
                 "start": ev.start, "end": attach,
             })
-            issue, ready = _issue(ev), _ready(ev)
+            issue, ready = self.issue[cur], self.ready[cur]
             blocker = None
             if ev.start - ready > eps:
                 # The op was ready before it ran: find the lane-slot
@@ -261,10 +283,9 @@ class CritPathAnalysis:
                     "chunk": ev.meta.get("chunk"),
                     "start": issue, "end": ev.start,
                 })
-            preds = [p for p in self.dep_preds.get(cur, ()) if p < cur]
-            if preds:
-                pred = max(preds, key=lambda q: (_done(events[q]), q))
-                gap_start = min(_done(events[pred]), issue)
+            pred = self.binding(cur)
+            if pred is not None:
+                gap_start = min(self.done[pred], issue)
                 if issue - gap_start > 0:
                     segments.append({"kind": "host", "event": None,
                                      "name": "host", "lane": None,
@@ -322,7 +343,7 @@ class CritPathAnalysis:
                     compute_iv.append(iv)
                 else:
                     transfer_iv.append(iv)
-                stall_iv.append((_issue(e), e.start))
+                stall_iv.append((e.meta.get("issue", e.start), e.start))
             busy = _merge_intervals(busy_iv)
             busy_s = _total(busy)
             contention = _total(_subtract(_merge_intervals(stall_iv), busy))
@@ -387,21 +408,21 @@ class CritPathAnalysis:
 
     def overlap(self) -> List[dict]:
         """Per-directive lane-busy efficiency over the directive's window."""
-        groups: Dict[int, List] = {}
-        for e in self.events:
+        groups: Dict[int, List[int]] = {}
+        for i, e in enumerate(self.events):
             did = e.meta.get("directive")
             if did is None:
                 continue
-            groups.setdefault(did, []).append(e)
+            groups.setdefault(did, []).append(i)
         rows = []
-        for did, evs in sorted(groups.items()):
-            w0 = min(_issue(e) for e in evs)
-            w1 = max(_done(e) for e in evs)
-            window = w1 - w0
+        for did, idx in sorted(groups.items()):
+            window = (max(self.done[i] for i in idx)
+                      - min(self.issue[i] for i in idx))
             lanes: Dict[str, List] = {}
             comp: Dict[Any, List] = {}
             xfer: Dict[Any, List] = {}
-            for e in evs:
+            for i in idx:
+                e = self.events[i]
                 lanes.setdefault(e.lane, []).append((e.start, e.end))
                 tgt = comp if e.category == KERNEL else xfer
                 tgt.setdefault(e.device, []).append((e.start, e.end))
@@ -427,105 +448,145 @@ class CritPathAnalysis:
 
     # -- what-if projection ----------------------------------------------------
 
-    def _orig_costs(self, ev) -> Tuple[float, float, float]:
-        """``(prep, hold, tail)``: issue→ready host prep, lane occupancy,
-        post-lane drain (the D2H tail staging)."""
-        return (max(0.0, _ready(ev) - _issue(ev)),
-                max(0.0, ev.end - ev.start),
-                max(0.0, _done(ev) - ev.end))
+    def _orig_costs(self) -> Tuple[array, array, array]:
+        """Per-event ``prep, hold, tail`` arrays: issue→ready host prep,
+        lane occupancy, post-lane drain (the D2H tail staging)."""
+        events = self.events
+        return (array("d", (max(0.0, r - i)
+                            for r, i in zip(self.ready, self.issue))),
+                array("d", (max(0.0, e.end - e.start) for e in events)),
+                array("d", (max(0.0, d - e.end)
+                            for e, d in zip(events, self.done))))
 
-    def _qjoin(self, i: int) -> float:
-        """Original lane-queue join time: transfers enqueue at issue,
-        kernels after their issue latency."""
-        ev = self.events[i]
-        return _ready(ev) if ev.category == KERNEL else _issue(ev)
+    def _replay_plan(self) -> tuple:
+        """The scenario-independent part of :meth:`_replay`, built once
+        per :meth:`what_if`.
 
-    def _replay(self, transform) -> float:
-        """Replay the causal DAG with per-event ``(prep, hold, tail)`` from
-        *transform*; returns the projected makespan.
-
-        Events replay in lane-queue order; an event issues once its latest
-        dependency predecessor completes plus the original host lag, holds
-        its (capacity-1) lane from ``max(lane free, ready)``, and completes
-        ``tail`` after leaving the lane.  Cross-lane link/staging contention
-        is relaxed — projections are upper bounds on fixing the bottleneck.
+        Returns ``(rows, lanes, frontiers)``.  *rows* zips, per event in
+        lane-queue order (transfers join their lane's queue at issue,
+        kernels after their issue latency): the event, its lane slot, its
+        host lag (the original gap between the binding predecessor's
+        completion and its issue), its frontier slot (0: no predecessors)
+        and the frontier's predecessor list at the first event that uses
+        it (None elsewhere).
         """
         events = self.events
-        if not events:
-            return 0.0
-        order = sorted(range(len(events)),
-                       key=lambda i: (self._qjoin(i), i))
-        new_end = [0.0] * len(events)
-        new_done = [0.0] * len(events)
-        lane_free: Dict[str, float] = {}
+        qjoin = [ready if ev.category == KERNEL else issue
+                 for ev, issue, ready in zip(events, self.issue, self.ready)]
+        order = array("l", sorted(range(len(events)), key=qjoin.__getitem__))
+        lane_slot: Dict[str, int] = {}
+        front_slot: Dict[int, int] = {}
+        lanes, lags, fronts = array("l"), array("d"), array("l")
+        firsts: List[Optional[List[int]]] = []
         for i in order:
-            ev = events[i]
-            preds = self.dep_preds.get(i, ())
-            if preds:
-                base_orig = max(_done(events[p]) for p in preds)
-                base_new = max(new_done[p] for p in preds)
-            else:
-                base_orig = 0.0
-                base_new = 0.0
-            lag = max(0.0, _issue(ev) - base_orig)
-            prep, hold, tail = transform(ev)
-            n_ready = base_new + lag + prep
-            n_start = max(n_ready, lane_free.get(ev.lane, 0.0))
-            n_end = n_start + hold
-            lane_free[ev.lane] = n_end
-            new_end[i] = n_end
-            new_done[i] = n_end + tail
-        return max(new_end)
+            lanes.append(lane_slot.setdefault(events[i].lane, len(lane_slot)))
+            preds = self.dep_preds.get(i)
+            f, base = 0, 0.0
+            if preds is not None:
+                base = self.done[self.binding(i)]
+                f = front_slot.get(id(preds))
+                if f is None:
+                    f = front_slot[id(preds)] = len(front_slot) + 1
+                else:
+                    preds = None
+            lags.append(max(0.0, self.issue[i] - base))
+            fronts.append(f)
+            firsts.append(preds)
+        return ((order, lanes, lags, fronts, firsts), len(lane_slot),
+                len(front_slot) + 1)
+
+    def _replay(self, plan: tuple, prep: Sequence[float],
+                hold: Sequence[float], tail: Sequence[float]) -> float:
+        """Replay the causal DAG of *plan* (:meth:`_replay_plan`) with
+        per-event *prep*, *hold* and *tail* costs; returns the projected
+        makespan.
+
+        An event issues once its latest dependency predecessor completes
+        plus the original host lag, holds its (capacity-1) lane from
+        ``max(lane free, ready)``, and completes ``tail`` after leaving the
+        lane.  Cross-lane link/staging contention is relaxed — projections
+        are upper bounds on fixing the bottleneck.
+
+        Each frontier's completion max is taken once, at its first
+        dependent.  That is exact: the lane-queue order is topological (a
+        predecessor completes before its dependent issues), so every
+        predecessor's ``new_done`` is final by then.
+        """
+        rows, n_lanes, n_fronts = plan
+        new_done = array("d", [0.0]) * len(self.events)
+        lane_free = [0.0] * n_lanes
+        front = [0.0] * n_fronts
+        makespan = 0.0
+        for i, lane, lag, f, preds in zip(*rows):
+            if preds is not None:
+                front[f] = max(map(new_done.__getitem__, preds))
+            n_start = front[f] + lag + prep[i]
+            if lane_free[lane] > n_start:
+                n_start = lane_free[lane]
+            n_end = n_start + hold[i]
+            lane_free[lane] = n_end
+            new_done[i] = n_end + tail[i]
+            if n_end > makespan:
+                makespan = n_end
+        return makespan
 
     def what_if(self) -> dict:
         """Bound the speedup of fixing each bottleneck class."""
-        orig = self._orig_costs
         mk = self.makespan
+        if not self.events:
+            return {"makespan_s": mk, "baseline_replay_s": 0.0,
+                    "scenarios": {}}
+        plan = self._replay_plan()
+        prep, hold, tail = self._orig_costs()
         out: dict = {
             "makespan_s": mk,
-            "baseline_replay_s": self._replay(orig),
+            "baseline_replay_s": self._replay(plan, prep, hold, tail),
             "scenarios": {},
         }
-        if not self.events:
-            return out
 
-        def scenario(name: str, transform, note: str) -> None:
-            m = self._replay(transform)
+        def scenario(name: str, costs, note: str) -> None:
+            m = self._replay(plan, *costs())
             out["scenarios"][name] = {
                 "makespan_s": m,
                 "speedup": mk / m if m > 0 else float("inf"),
                 "note": note,
             }
 
-        def zero_transfers(ev):
-            if ev.category in _TRANSFERS:
-                return (0.0, 0.0, 0.0)
-            return orig(ev)
+        events = self.events
+        transfers = [i for i, e in enumerate(events)
+                     if e.category in _TRANSFERS]
 
-        def infinite_link(ev):
-            prep, hold, tail = orig(ev)
-            if ev.category in _TRANSFERS:
+        def zero_transfers():
+            costs = array("d", prep), array("d", hold), array("d", tail)
+            for i in transfers:
+                for c in costs:
+                    c[i] = 0.0
+            return costs
+
+        def infinite_link():
+            wireless = array("d", hold)
+            for i in transfers:
+                ev = events[i]
                 wire = max(0.0, ev.meta.get("wire_end", ev.end)
                            - ev.meta.get("wire_start", ev.start))
-                return (prep, max(0.0, hold - wire), tail)
-            return (prep, hold, tail)
+                wireless[i] = max(0.0, hold[i] - wire)
+            return prep, wireless, tail
 
-        means: Dict[int, float] = {}
         durs: Dict[int, List[float]] = {}
-        for e in self.events:
+        for e in events:
             did = e.meta.get("directive")
             if e.category == KERNEL and did is not None and not _attempt(e):
                 durs.setdefault(did, []).append(e.duration)
-        for did, ds in durs.items():
-            means[did] = sum(ds) / len(ds)
+        means = {did: sum(ds) / len(ds) for did, ds in durs.items()}
 
-        def perfect_balance(ev):
-            prep, hold, tail = orig(ev)
-            if ev.category == KERNEL and not _attempt(ev):
-                mean = means.get(ev.meta.get("directive"))
-                if mean is not None:
-                    return (prep, mean, tail)
-            return (prep, hold, tail)
+        def perfect_balance():
+            balanced = array("d", hold)
+            for i, e in enumerate(events):
+                if e.category == KERNEL and not _attempt(e):
+                    mean = means.get(e.meta.get("directive"))
+                    if mean is not None:
+                        balanced[i] = mean
+            return prep, balanced, tail
 
         scenario("zero_transfers", zero_transfers,
                  "transfers free: pure compute + host critical path")
@@ -533,14 +594,13 @@ class CritPathAnalysis:
                  "wire time zero, per-call latency and staging kept")
         scenario("perfect_balance", perfect_balance,
                  "every chunk kernel takes its directive's mean duration")
-        devices = {e.device for e in self.events if e.device is not None}
-        nd = len(devices)
+        nd = len({e.device for e in events if e.device is not None})
 
         def scaled(factor: float):
-            def transform(ev):
-                prep, hold, tail = orig(ev)
-                return (prep, hold * factor, tail * factor)
-            return transform
+            def costs():
+                return (prep, array("d", (h * factor for h in hold)),
+                        array("d", (t * factor for t in tail)))
+            return costs
 
         if nd > 0:
             scenario("plus_one_device", scaled(nd / (nd + 1)),
@@ -586,9 +646,8 @@ class CritPathAnalysis:
                             "tid": lane_ids[d_ev.lane],
                             "ts": d_ev.start * 1e6})
 
-        for dst, preds in sorted(self.dep_preds.items()):
-            src = max(preds, key=lambda q: (_done(events[q]), q))
-            arrow(src, dst, "dep")
+        for dst in sorted(self.dep_preds):
+            arrow(self.binding(dst), dst, "dep")
         if include_resource_edges:
             for dst, entries in sorted(self.res_preds.items()):
                 for src, rname in entries:

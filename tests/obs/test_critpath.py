@@ -13,7 +13,10 @@ The analyzer's contract, asserted here:
   with analysis on or off, across worker counts, and under fault
   injection with failover;
 * degenerate traces (empty, zero-duration events, identical stamps,
-  single lane) never crash the analysis.
+  single lane) never crash the analysis;
+* the what-if replay order is topological (each frontier's completion max
+  is taken once, at its first dependent), and the recorder's frontier cap
+  leaves the report unchanged on the runs checked here.
 """
 
 import importlib.util
@@ -24,14 +27,17 @@ import numpy as np
 import pytest
 
 from repro.bench import machines
+from repro.obs import critpath
 from repro.obs.critpath import (
     CRITPATH_SCHEMA,
     CausalRecorder,
     CritPathAnalysis,
+    _subtract,
 )
 from repro.sim.costmodel import CostModel, TransferCost
 from repro.sim.topology import cte_power_node
-from repro.sim.trace import D2H, H2D, HOST, KERNEL, Trace, TraceAnalysis
+from repro.sim.trace import (D2H, H2D, HOST, KERNEL, Trace, TraceAnalysis,
+                             _merge_intervals)
 from repro.somier import SomierConfig, run_somier
 from repro.util.errors import OmpRuntimeError
 
@@ -74,6 +80,17 @@ def assert_bit_identical(a, b):
     assert np.array_equal(a.centers, b.centers)
     assert a.elapsed == b.elapsed
     assert a.runtime.trace.events == b.runtime.trace.events
+
+
+def assert_replay_order_topological(ana):
+    """Every dependency predecessor replays before its dependent."""
+    (order, *_columns), _lanes, _frontiers = ana._replay_plan()
+    position = {i: k for k, i in enumerate(order)}
+    assert sorted(position) == list(range(len(ana.events)))
+    assert ana.dep_preds, "no dependency edges recorded"
+    for dst, preds in ana.dep_preds.items():
+        for pred in preds:
+            assert position[pred] < position[dst], (pred, dst)
 
 
 class ZeroTransferCostModel(CostModel):
@@ -139,6 +156,10 @@ class TestAcceptance:
         assert wi["bottleneck"] == "zero_transfers"
         assert wi["bottleneck_speedup"] > 1.5
 
+    def test_replay_order_is_topological(self, analyzed):
+        _res, ana = analyzed
+        assert_replay_order_topological(ana)
+
 
 class TestBitIdentity:
     """Edge recording never touches the virtual timeline."""
@@ -193,6 +214,81 @@ class TestRetryAttribution:
         ana = res.runtime.analysis()
         assert ana.critical_path()["length_s"] == pytest.approx(
             ana.makespan, rel=1e-9)
+        assert_replay_order_topological(ana)
+
+
+class UncappedRecorder(CausalRecorder):
+    MAX_HEADS = 10**9
+
+
+class TestFrontierCap:
+    """``CausalRecorder.MAX_HEADS`` truncates merged frontiers; the report
+    must not depend on it."""
+
+    @pytest.mark.parametrize("spec", [{}, {"faults": "device@1:#10"}],
+                             ids=["plain", "failover"])
+    def test_uncapped_recorder_gives_the_same_report(self, monkeypatch,
+                                                     spec):
+        capped = run(analyze=True, **spec).runtime.analysis().report()
+        monkeypatch.setattr(critpath, "CausalRecorder", UncappedRecorder)
+        res = run(analyze=True, **spec)
+        assert isinstance(res.runtime.causal, UncappedRecorder)
+        uncapped = res.runtime.analysis().report()
+        # the cap bites on these runs ...
+        assert (uncapped.pop("recorder")["dep_edges"]
+                > capped.pop("recorder")["dep_edges"])
+        # ... and changes nothing else, to the bit
+        assert json.dumps(uncapped) == json.dumps(capped)
+
+
+def brute_subtract(xs, ys):
+    """*xs* minus *ys* over the elementary segments between endpoints,
+    touching pieces merged."""
+    points = sorted({p for iv in (*xs, *ys) for p in iv})
+    out = []
+    for lo, hi in zip(points, points[1:]):
+        mid = (lo + hi) / 2
+        if any(a < mid < b for a, b in xs) and \
+                not any(a < mid < b for a, b in ys):
+            if out and out[-1][1] == lo:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+    return out
+
+
+def random_disjoint(rng, count, max_len):
+    """Sorted disjoint intervals on a half-unit grid; a zero gap makes
+    neighbours touch at an endpoint."""
+    out, pos = [], 0.0
+    for _ in range(count):
+        start = pos + 0.5 * float(rng.integers(0, 3))
+        pos = start + 0.5 * float(rng.integers(1, max_len + 1))
+        out.append((start, pos))
+    return out
+
+
+class TestSubtract:
+    def test_examples(self):
+        # one y spanning several xs
+        assert _subtract([(0, 1), (2, 3), (4, 5)], [(0.5, 4.5)]) == \
+            [(0, 0.5), (4.5, 5)]
+        # xs and ys touching at endpoints
+        assert _subtract([(0, 1), (1, 2)], [(1, 1.5), (2, 3)]) == \
+            [(0, 1), (1.5, 2)]
+        assert _subtract([(0, 1)], []) == [(0, 1)]
+        assert _subtract([], [(0, 1)]) == []
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            xs = random_disjoint(rng, int(rng.integers(0, 8)), 4)
+            ys = random_disjoint(rng, int(rng.integers(0, 8)),
+                                 int(rng.choice([2, 12])))
+            got = _subtract(xs, ys)
+            assert all(a < b for a, b in got)
+            assert all(p[1] <= q[0] for p, q in zip(got, got[1:]))
+            assert _merge_intervals(got) == brute_subtract(xs, ys), (xs, ys)
 
 
 class TestRecorderSurface:
@@ -293,11 +389,8 @@ class TestAnalysisSurfaces:
 class TestDegenerateTraces:
     """Satellite: pathological traces must not crash the analyses."""
 
-    def _analysis(self, trace):
-        return CritPathAnalysis(trace, CausalRecorder())
-
-    def _exercise(self, trace):
-        ana = self._analysis(trace)
+    def _exercise(self, trace, recorder=None):
+        ana = CritPathAnalysis(trace, recorder or CausalRecorder())
         cp = ana.critical_path()
         assert cp["length_s"] == pytest.approx(ana.makespan, rel=1e-9)
         ana.attribution()
@@ -351,6 +444,37 @@ class TestDegenerateTraces:
         tr.record(HOST, "t", lane="host", start=0.0, end=1.0)
         ana = self._exercise(tr)
         assert ana.attribution()["lanes"] == []  # no device lanes
+
+    def test_shared_frontier_replays_exactly(self):
+        # k and out share one frontier tuple (in, k0); in and k0 have none.
+        # The binding predecessor is the H2D: freeing transfers moves the
+        # frontier to k0's completion while each dependent keeps its
+        # original host lag behind the binding predecessor.
+        tr = Trace()
+        tr.record(H2D, "in", lane="gpu0", start=0.0, end=3.0, device=0,
+                  issue=0.0)
+        tr.record(KERNEL, "k0", lane="gpu1", start=0.5, end=2.5, device=1,
+                  issue=0.0, ready=0.5)
+        tr.record(KERNEL, "k", lane="gpu0", start=3.5, end=5.5, device=0,
+                  issue=3.25, ready=3.5)
+        tr.record(D2H, "out", lane="gpu1", start=3.5, end=4.5, device=1,
+                  issue=3.5, done=5.0)
+        rec = CausalRecorder()
+        rec.ops = 4
+        rec.op_event = {1: 0, 2: 1, 3: 2, 4: 3}
+        frontier = (1, 2)
+        rec.op_deps = {3: frontier, 4: frontier}
+        ana = self._exercise(tr, rec)
+        assert ana.dep_preds[2] is ana.dep_preds[3]
+        assert [ana.binding(i) for i in range(4)] == [None, None, 0, 0]
+        assert_replay_order_topological(ana)
+        wi = ana.what_if()
+        assert wi["baseline_replay_s"] == 5.5
+        assert wi["scenarios"]["zero_transfers"]["makespan_s"] == 5.0
+        kinds = [(s["kind"], s["start"], s["end"])
+                 for s in ana.critical_path()["segments"]]
+        assert kinds == [(H2D, 0.0, 3.0), ("host", 3.0, 3.25),
+                         ("prep", 3.25, 3.5), (KERNEL, 3.5, 5.5)]
 
     def test_events_without_recorded_edges(self):
         # a traced run whose recorder saw nothing: pure trace-driven path
