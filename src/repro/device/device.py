@@ -135,6 +135,9 @@ class Device:
 
     def free(self, alloc: Allocation) -> None:
         self.allocator.free(alloc)
+        if self.lost:
+            # Purged storage may still be written by ops in flight.
+            self.allocator.drop_spares()
         tools = self.tools
         if tools:
             tools.dispatch(DATA_OP, op="free", device=self.device_id,

@@ -5,12 +5,24 @@ allocator accounts *virtual* bytes — the size the buffer would have at the
 paper's full problem scale — so a scaled-down functional run still exercises
 the paper's memory regime (problem ≈ 10× device capacity, buffers sized to
 fill a 16 GB V100).
+
+Freed buffers are recycled per device: :meth:`DeviceAllocator.free` keeps
+the array on a free list keyed by ``(shape, dtype)`` and the next
+:meth:`DeviceAllocator.allocate` of that key takes it back before calling
+``np.empty``.  A buffer's contents are undefined either way (``np.empty``
+semantics).  Reuse bounds a run's footprint: finished kernel walkers keep
+views of the buffers they ran on until the run ends, so without it every
+buffer a run ever mapped would stay resident, each on freshly faulted
+pages.  LLVM libomptarget's device memory manager keeps freed blocks for
+the same reason.  A lost device recycles nothing, because ops in flight
+may still write its purged storage (:meth:`DeviceAllocator.drop_spares`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +59,8 @@ class DeviceAllocator:
         self.used_bytes: float = 0.0
         self.peak_bytes: float = 0.0
         self._allocations: Dict[int, Allocation] = {}
+        #: freed arrays awaiting reuse, keyed by ``(shape, dtype)``
+        self._spares: Dict[Tuple, List[np.ndarray]] = {}
         self._next_id = 0
 
     # -- allocation ------------------------------------------------------------
@@ -55,9 +69,13 @@ class DeviceAllocator:
                  virtual_bytes: Optional[float] = None,
                  label: str = "") -> Allocation:
         """Allocate a buffer of *shape*; account *virtual_bytes* against the
-        capacity (defaults to the functional size)."""
-        array = np.empty(shape, dtype=dtype)
-        vbytes = float(virtual_bytes) if virtual_bytes is not None else float(array.nbytes)
+        capacity (defaults to the functional size).  The array's contents
+        are undefined: it is a recycled buffer of the same ``(shape,
+        dtype)`` if one was freed, else ``np.empty``."""
+        shape = tuple(shape) if np.iterable(shape) else (int(shape),)
+        dtype = np.dtype(dtype)
+        vbytes = (float(virtual_bytes) if virtual_bytes is not None
+                  else float(math.prod(shape) * dtype.itemsize))
         if vbytes < 0:
             raise ValueError("negative virtual size")
         if self.used_bytes + vbytes > self.capacity_bytes:
@@ -66,6 +84,8 @@ class DeviceAllocator:
                 f"{vbytes:.3e} B ({label or 'buffer'}); "
                 f"used {self.used_bytes:.3e} of {self.capacity_bytes:.3e} B",
                 requested=vbytes, capacity=self.capacity_bytes)
+        spares = self._spares.get((shape, dtype))
+        array = spares.pop() if spares else np.empty(shape, dtype=dtype)
         self._next_id += 1
         alloc = Allocation(alloc_id=self._next_id, array=array,
                            virtual_bytes=vbytes, label=label)
@@ -81,6 +101,12 @@ class DeviceAllocator:
                 f"{alloc.alloc_id} ({alloc.label})")
         del self._allocations[alloc.alloc_id]
         self.used_bytes -= alloc.virtual_bytes
+        array = alloc.array
+        self._spares.setdefault((array.shape, array.dtype), []).append(array)
+
+    def drop_spares(self) -> None:
+        """Forget every freed array, so none is handed out again."""
+        self._spares.clear()
 
     # -- introspection -----------------------------------------------------------
 

@@ -508,8 +508,9 @@ class CopyH2D(_CopyProc):
         self._wire_end = sim.now
         dev.link.release(self._link_req)
         self._link_req = None
+        snaps, self._snaps = self._snaps, None
         try:
-            dev._commit_sections([(self.dst, self.dk)], self._snaps)
+            dev._commit_sections([(self.dst, self.dk)], snaps)
         except BaseException as err:  # noqa: BLE001 - deliver via event
             dev.queue.release(self._queue_req)
             self._queue_req = None
@@ -632,8 +633,9 @@ class CopyD2H(_CopyProc):
                 return
         staging_req = self._staging_req
         self._staging_req = None
+        snaps, self._snaps = self._snaps, None
         try:
-            dev._commit_sections([(self.dst, self.dk)], self._snaps)
+            dev._commit_sections([(self.dst, self.dk)], snaps)
         except BaseException as err:  # noqa: BLE001 - deliver via event
             dev.staging.release(staging_req)
             self.fail(err)

@@ -9,7 +9,10 @@ of the multi-device decompositions meaningful.
 Cost weights (``work_per_iter``, in units of "N^2 cells x flop weight"):
 the forces stencil evaluates 6 springs per cell, the pointwise kernels a
 couple of flops; the centers kernel one pass.  The absolute scale is set by
-``DeviceSpec.iters_per_second`` in the machine calibration.
+``DeviceSpec.iters_per_second`` in the machine calibration.  The weights
+model the paper's GPU kernels, not the host bodies: the host forces body
+evaluates each spring once and hands it to both of its cells, while its
+weight still counts six spring evaluations per cell.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ import numpy as np
 from repro.device.kernel import KernelSpec
 from repro.somier.config import SomierConfig
 
-#: Neighbour offsets of the 6 axis springs.
-_NEIGHBOURS = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0),
-               (0, 0, -1), (0, 0, 1))
-
 
 def forces_body(lo: int, hi: int, env: Mapping) -> None:
     """Spring forces on interior nodes of rows ``[lo, hi)``.
@@ -34,38 +33,49 @@ def forces_body(lo: int, hi: int, env: Mapping) -> None:
     vector to the neighbour.  Whole rows of the force grids are zeroed
     first so boundary cells (and thus accelerations/velocities there) stay
     exactly zero.
+
+    Each spring is evaluated once: per axis, ``c = coef(s) * s`` for the
+    spring ``s = p[next] - p[here]`` over the chunk plus the one spring
+    below it, and a cell then takes ``-c`` from its lower spring and
+    ``+c`` from its upper one, in the order ``-x, +x, -y, +y, -z, +z``.
+    Negation is exact in IEEE arithmetic, so the forces are bit-identical
+    to summing the six neighbour vectors of every cell.
     """
     n = env["N"]
     k_spring = env["K_spring"]
     rest = env["L0"]
-    px, py, pz = env["pos_x"], env["pos_y"], env["pos_z"]
-    fx, fy, fz = env["force_x"], env["force_y"], env["force_z"]
+    pos = (env["pos_x"], env["pos_y"], env["pos_z"])
+    force = (env["force_x"], env["force_y"], env["force_z"])
 
-    fx[lo:hi] = 0.0
-    fy[lo:hi] = 0.0
-    fz[lo:hi] = 0.0
+    for f in force:
+        f[lo:hi] = 0.0
 
-    cx = px[lo:hi, 1:n - 1, 1:n - 1]
-    cy = py[lo:hi, 1:n - 1, 1:n - 1]
-    cz = pz[lo:hi, 1:n - 1, 1:n - 1]
-    acc_x = np.zeros_like(cx)
-    acc_y = np.zeros_like(cy)
-    acc_z = np.zeros_like(cz)
-    for di, dj, dk in _NEIGHBOURS:
-        qx = px[lo + di:hi + di, 1 + dj:n - 1 + dj, 1 + dk:n - 1 + dk]
-        qy = py[lo + di:hi + di, 1 + dj:n - 1 + dj, 1 + dk:n - 1 + dk]
-        qz = pz[lo + di:hi + di, 1 + dj:n - 1 + dj, 1 + dk:n - 1 + dk]
-        dx = qx - cx
-        dy = qy - cy
-        dz = qz - cz
-        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        coef = k_spring * (1.0 - rest / dist)
-        acc_x += coef * dx
-        acc_y += coef * dy
-        acc_z += coef * dz
-    fx[lo:hi, 1:n - 1, 1:n - 1] = acc_x
-    fy[lo:hi, 1:n - 1, 1:n - 1] = acc_y
-    fz[lo:hi, 1:n - 1, 1:n - 1] = acc_z
+    inner = slice(1, n - 1)
+    acc = [np.zeros_like(p[lo:hi, inner, inner]) for p in pos]
+    for axis in range(3):
+        # The springs from each interior cell to its +axis neighbour, plus
+        # the one below the first cell: cell t sits between springs t and
+        # t + 1 along *axis*.
+        a, b = (lo, hi) if axis == 0 else (1, n - 1)
+        here = [slice(lo, hi), inner, inner]
+        ahead = list(here)
+        here[axis] = slice(a - 1, b)
+        ahead[axis] = slice(a, b + 1)
+        spring = [p[tuple(ahead)] - p[tuple(here)] for p in pos]
+        coef = spring[0] * spring[0]
+        for s in spring[1:]:
+            coef += s * s
+        np.sqrt(coef, out=coef)
+        np.divide(rest, coef, out=coef)
+        np.subtract(1.0, coef, out=coef)
+        np.multiply(k_spring, coef, out=coef)
+        for total, s in zip(acc, spring):
+            s *= coef
+            s_t, total_t = s.swapaxes(0, axis), total.swapaxes(0, axis)
+            total_t -= s_t[:-1]
+            total_t += s_t[1:]
+    for f, total in zip(force, acc):
+        f[lo:hi, inner, inner] = total
 
 
 def accelerations_body(lo: int, hi: int, env: Mapping) -> None:

@@ -8,6 +8,7 @@ from repro.device.kernel import KernelSpec, LaunchConfig
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
+from repro.sim.timeline import CopyD2H, CopyH2D
 from repro.sim.topology import DeviceSpec, HostSpec, LinkSpec
 from repro.sim.trace import Trace, TraceAnalysis
 
@@ -67,6 +68,23 @@ class TestCopies:
         sim.run()
         assert dst[0] == 1.0
 
+    def test_d2h_snapshot_at_wire_end(self, sim):
+        """The device value captured is the one present when the wire
+        completes, not when the trailing staging piece drains."""
+        dev = make_device(sim, bw=1e12, staging_bw=1.0)  # very slow staging
+        src = np.array([1.0])
+        dst = np.zeros(1)
+        sim.process(dev.copy_d2h(src, slice(0, 1), dst, slice(0, 1)))
+
+        def mutate():
+            yield sim.timeout(1.0)  # during the 8-second staging piece
+            src[0] = 99.0
+
+        sim.process(mutate())
+        sim.run()
+        assert sim.now == pytest.approx(8.0, rel=1e-3)
+        assert dst[0] == 1.0
+
     def test_batch_pays_latency_once(self, sim):
         dev_a = make_device(sim, bw=1e9, latency=1.0)
         pairs = [(np.zeros(10), slice(0, 10), np.zeros(10), slice(0, 10))
@@ -100,6 +118,46 @@ class TestCopies:
         assert "wire_start" in ev.meta and "wire_end" in ev.meta
         assert ev.meta["wire_end"] - ev.meta["wire_start"] == \
             pytest.approx(800 / 1e6, rel=1e-3)
+
+
+class TestCopyWalkers:
+    """The copy walkers snapshot at the same phase as the generator path
+    and drop the snapshot once it is committed."""
+
+    def test_h2d_snapshot_at_staging(self, sim):
+        dev = make_device(sim, bw=1.0, staging_bw=1e12)  # very slow wire
+        src = np.array([1.0])
+        dst = np.zeros(1)
+        walker = CopyH2D.spawn(sim, dev, src, slice(0, 1), dst, slice(0, 1),
+                               "map:src")
+
+        def mutate():
+            yield sim.timeout(1.0)  # during the 8-second wire
+            src[0] = 99.0
+
+        sim.process(mutate())
+        sim.run()
+        assert walker._processed and walker._ok
+        assert dst[0] == 1.0
+        assert walker._snaps is None
+
+    def test_d2h_snapshot_at_wire_end(self, sim):
+        dev = make_device(sim, bw=1e12, staging_bw=1.0)  # very slow staging
+        src = np.array([1.0])
+        dst = np.zeros(1)
+        walker = CopyD2H.spawn(sim, dev, src, slice(0, 1), dst, slice(0, 1),
+                               "map:src")
+
+        def mutate():
+            yield sim.timeout(1.0)  # during the 8-second staging piece
+            src[0] = 99.0
+
+        sim.process(mutate())
+        sim.run()
+        assert sim.now == pytest.approx(8.0, rel=1e-3)
+        assert walker._processed and walker._ok
+        assert dst[0] == 1.0
+        assert walker._snaps is None
 
 
 class TestSharedLink:

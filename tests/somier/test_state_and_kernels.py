@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.device.views import GlobalView
 from repro.somier.config import SomierConfig
-from repro.somier.kernels import make_kernels
+from repro.somier.kernels import forces_body, make_kernels
 from repro.somier.state import GRID_NAMES, SomierState
 
 
@@ -154,3 +155,107 @@ class TestKernels:
         kernels = make_kernels(SomierConfig(n=8, steps=1))
         assert kernels.forces.work_per_iter == 6.0 * 64
         assert kernels.positions.work_per_iter == 1.0 * 64
+
+
+#: Neighbour offsets of the 6 axis springs, in the order the reference sums.
+_NEIGHBOURS = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0),
+               (0, 0, -1), (0, 0, 1))
+
+
+def reference_forces_body(lo, hi, env):
+    """The six-neighbour forces stencil: every spring is evaluated twice,
+    once from each end.  ``forces_body`` must match it bit for bit."""
+    n = env["N"]
+    k_spring = env["K_spring"]
+    rest = env["L0"]
+    px, py, pz = env["pos_x"], env["pos_y"], env["pos_z"]
+    fx, fy, fz = env["force_x"], env["force_y"], env["force_z"]
+
+    fx[lo:hi] = 0.0
+    fy[lo:hi] = 0.0
+    fz[lo:hi] = 0.0
+
+    cx = px[lo:hi, 1:n - 1, 1:n - 1]
+    cy = py[lo:hi, 1:n - 1, 1:n - 1]
+    cz = pz[lo:hi, 1:n - 1, 1:n - 1]
+    acc_x = np.zeros_like(cx)
+    acc_y = np.zeros_like(cy)
+    acc_z = np.zeros_like(cz)
+    for di, dj, dk in _NEIGHBOURS:
+        qx = px[lo + di:hi + di, 1 + dj:n - 1 + dj, 1 + dk:n - 1 + dk]
+        qy = py[lo + di:hi + di, 1 + dj:n - 1 + dj, 1 + dk:n - 1 + dk]
+        qz = pz[lo + di:hi + di, 1 + dj:n - 1 + dj, 1 + dk:n - 1 + dk]
+        dx = qx - cx
+        dy = qy - cy
+        dz = qz - cz
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        coef = k_spring * (1.0 - rest / dist)
+        acc_x += coef * dx
+        acc_y += coef * dy
+        acc_z += coef * dz
+    fx[lo:hi, 1:n - 1, 1:n - 1] = acc_x
+    fy[lo:hi, 1:n - 1, 1:n - 1] = acc_y
+    fz[lo:hi, 1:n - 1, 1:n - 1] = acc_z
+
+
+FORCES = ("force_x", "force_y", "force_z")
+POSITIONS = ("pos_x", "pos_y", "pos_z")
+
+
+def forces_env(n, seed):
+    """Positions and scalars of an n-grid; seed None keeps the initial
+    lattice (exact zeros in the x/y spring components), otherwise every
+    position is jittered."""
+    cfg = SomierConfig(n=n, steps=1)
+    lattice = SomierState(cfg).grids
+    env = dict(make_kernels(cfg).forces.scalars)
+    for name in POSITIONS:
+        env[name] = lattice[name]
+        if seed is not None:
+            rng = np.random.default_rng([seed, n, POSITIONS.index(name)])
+            env[name] = env[name] + rng.uniform(-0.2, 0.2, (n, n, n))
+    for name in FORCES:
+        env[name] = np.full((n, n, n), np.nan)
+    return env
+
+
+def chunks(n):
+    return [(1, 2), (n - 2, n - 1), (n // 3, 2 * n // 3)]
+
+
+class TestForcesOracle:
+    """``forces_body`` evaluates each spring once; the forces must still be
+    byte-equal to the six-neighbour reference on every chunk shape."""
+
+    @pytest.mark.parametrize("n", [8, 24, 96])
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_host_arrays(self, n, seed):
+        env = forces_env(n, seed)
+        ref = dict(env, **{f: env[f].copy() for f in FORCES})
+        for lo, hi in chunks(n):
+            forces_body(lo, hi, env)
+            reference_forces_body(lo, hi, ref)
+            for name in FORCES:
+                assert env[name].tobytes() == ref[name].tobytes(), (
+                    name, lo, hi)
+
+    @pytest.mark.parametrize("n", [8, 24, 96])
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_global_view_halo_sections(self, n, seed):
+        """The device layout: positions mapped with one halo row on each
+        side of the chunk, forces mapped over the chunk only."""
+        env = forces_env(n, seed)
+        for lo, hi in chunks(n):
+            ref = dict(env, **{f: env[f].copy() for f in FORCES})
+            reference_forces_body(lo, hi, ref)
+            dev = dict(env)
+            for name in POSITIONS:
+                dev[name] = GlobalView(env[name][lo - 1:hi + 1].copy(),
+                                       lo - 1, name)
+            for name in FORCES:
+                dev[name] = GlobalView(np.full((hi - lo, n, n), np.nan),
+                                       lo, name)
+            forces_body(lo, hi, dev)
+            for name in FORCES:
+                assert (dev[name].local().tobytes()
+                        == ref[name][lo:hi].tobytes()), (name, lo, hi)
