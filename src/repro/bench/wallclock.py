@@ -1,42 +1,44 @@
-"""Wall-clock benchmark track: host-side launch cost of spread directives.
+"""Wall-clock benchmark track: host-time ratios between paired arms.
 
 Everything else in :mod:`repro.bench` reports *virtual* seconds — the
-simulator's scientific output.  This module measures **real** seconds: the
-Python-side cost of lowering a spread directive (validation, chunking, map/
-depend concretization, task submission), which is exactly what the
-launch-plan cache (:mod:`repro.spread.plan_cache`) attacks.  It is the
-simulated analogue of the libomptarget "launch overhead" microbenchmarks:
-the directive under test is issued ``nowait`` against data that is already
-present, so the timed region never blocks and never moves bytes — it is
-pure host lowering.
+simulator's scientific output.  This module measures what that output
+costs on the host, and only as ratios between two arms of the same
+program, because absolute host seconds do not carry from one run (or
+host) to the next.  Every ratio goes through :func:`paired`, which times
+both arms with process CPU time, alternates which arm runs first, and
+keeps every per-pair value with their median and quartiles.
 
-Four measurements:
+Five ratios, each a median over pairs:
 
-* :func:`launch_microbench` — repeated identical ``target spread teams
-  distribute parallel for`` launches against pre-mapped buffers; reports
-  cold (first, cache-miss) and warm (steady-state) per-launch cost.
-* :func:`end_to_end` — a small Somier run; reports wall seconds and
-  timesteps/second.
-* :func:`engine_microbench` — raw calendar-queue throughput (dispatched
-  events per real second) over distinct-time and tied-time workloads.
-* :func:`analyzer_overhead` — the end-to-end run with tracing on, with and
-  without the causal recorder (:mod:`repro.obs.critpath`); reports the
-  recording overhead (budget: 5% of traced wall time), the cost of
-  ``--analyze`` against the default traced run, and the post-run analysis
-  cost.
+* ``warm_launch_speedup`` — warm ``nowait`` spread launches against
+  pre-mapped buffers, launch-plan cache off over on (CI gate ≥ 5).  A
+  ``nowait`` static spread never yields, so the timed batches are pure
+  host lowering; the taskwaits that drain the devices are off the clock.
+* ``fused_e2e_speedup`` — a small Somier run, ``fused_timeline=False``
+  over the default walker path (CI gate ≥ 1.0).
+* ``recording_overhead`` — the ``analyze`` run over a traced run on the
+  same generator path, minus one: the cost of causal recording alone,
+  since the recorder disengages the walkers (CI gate ≤ 0.25).
+* ``analyze_vs_default`` — the ``analyze`` run over the default traced
+  run, minus one: what ``--analyze`` costs a user.
+* ``report_vs_run`` — ``CritPathAnalysis.report()`` over the ``analyze``
+  run it explains.
 
-:func:`run_wallclock` runs them all (the cache benches on and off),
-computes the speedups and stamps the result with :func:`host_metadata`;
-``benchmarks/bench_wallclock.py`` persists it to ``BENCH_wallclock.json``.
+Every pair checks that its arms took the paths the ratio compares (see
+:func:`paired` and the arm factories) and raises ``RuntimeError`` naming
+the arm otherwise.  :func:`run_wallclock` measures all five and stamps
+the host; ``benchmarks/bench_wallclock.py`` persists the result to
+``BENCH_wallclock.json`` and applies :func:`failed_gates`.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import platform
 import statistics
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,235 +57,129 @@ from repro.spread import (
 
 S, Z = omp_spread_start, omp_spread_size
 
+Clock = Callable[[], float]
+#: ``(name, run)``: ``run(clock)`` returns its timed seconds and the
+#: virtual seconds of the program it ran
+Arm = Tuple[str, Callable[[Clock], Tuple[float, float]]]
 
-def launch_microbench(plan_cache: bool = True, n: int = 4096,
-                      num_devices: int = 4, repeats: int = 30,
-                      launches: int = 5) -> Dict[str, Any]:
-    """Per-launch host cost of an identical, already-mapped spread kernel.
+#: launch microbench shape: loop extent, devices, timed batches, launches
+#: per batch
+LAUNCH_N, LAUNCH_DEVICES, LAUNCH_BATCHES, LAUNCHES_PER_BATCH = 4096, 4, 30, 5
 
-    The program maps both arrays across *num_devices* once, then times
-    ``repeats`` batches of ``launches`` ``nowait`` launches each.  A
-    ``nowait`` static spread never yields, so ``perf_counter`` around the
-    batch captures pure host-side lowering; the untimed ``taskwait``
-    between batches drains the simulated devices.  Batch 0 is the cold
-    (plan-building) sample; the warm figure is the mean of the rest.
+
+def paired(a: Arm, b: Arm, pairs: int, overhead: bool = False,
+           clock: Clock = time.process_time) -> Dict[str, Any]:
+    """Time arm *a* against arm *b* in *pairs* alternating pairs.
+
+    Each pair runs both arms, *a* first in even pairs and *b* first in odd
+    ones, with ``gc.collect()`` off the clock before each arm.  Both arms
+    must report the same virtual seconds.  The per-pair value is the time
+    of *a* over the time of *b* (minus one with *overhead*); the result
+    holds every per-pair value with their median and quartiles.
     """
-    rt = OpenMPRuntime(
-        topology=cte_power_node(num_devices, memory_bytes=4e9),
-        trace_enabled=False, plan_cache=plan_cache)
-    devices = list(range(num_devices))
-    A, B = np.arange(float(n)), np.zeros(n)
-    vA, vB = Var("A", A), Var("B", B)
-    kern = KernelSpec("saxpy", lambda lo, hi, env: None)
-    samples: List[float] = []
+    values: List[float] = []
+    for i in range(pairs):
+        out = {}
+        for name, run in ((a, b) if i % 2 == 0 else (b, a)):
+            gc.collect()
+            out[name] = run(clock)
+        (ta, va), (tb, vb) = out[a[0]], out[b[0]]
+        if va != vb:
+            raise RuntimeError(f"arms {a[0]} and {b[0]} diverged in virtual "
+                               f"time: {va!r} s vs {vb!r} s")
+        values.append(ta / tb - (1.0 if overhead else 0.0))
+    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                 else values * 3)
+    return {"per_pair": values, "median": statistics.median(values),
+            "q1": q1, "q3": q3}
 
-    def program(omp):
-        yield from target_enter_data_spread(
-            omp, devices, (0, n), None,
-            [Map.to(vA, (S, Z)), Map.alloc(vB, (S, Z))])
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for _ in range(launches):
+
+def _launch_arm(plan_cache: bool) -> Arm:
+    """Warm identical spread launches on pre-mapped data, timed by batch.
+
+    One untimed batch builds (and on its first hit compiles) the plan;
+    then each of ``LAUNCH_BATCHES`` batches of ``nowait`` launches is
+    timed, with an untimed ``taskwait`` between batches.  The cache-on arm
+    must have replayed.
+    """
+    name = "cache_on" if plan_cache else "cache_off"
+
+    def run(clock):
+        rt = OpenMPRuntime(
+            topology=cte_power_node(LAUNCH_DEVICES, memory_bytes=4e9),
+            trace_enabled=False, plan_cache=plan_cache)
+        devices = list(range(LAUNCH_DEVICES))
+        n = LAUNCH_N
+        vA, vB = Var("A", np.arange(float(n))), Var("B", np.zeros(n))
+        kern = KernelSpec("saxpy", lambda lo, hi, env: None)
+        warm = 0.0
+
+        def batch(omp):
+            for _ in range(LAUNCHES_PER_BATCH):
                 yield from target_spread_teams_distribute_parallel_for(
                     omp, kern, 0, n, devices,
                     maps=[Map.to(vA, (S, Z)), Map.from_(vB, (S, Z))],
                     nowait=True)
-            samples.append(time.perf_counter() - t0)
+
+        def program(omp):
+            nonlocal warm
+            yield from target_enter_data_spread(
+                omp, devices, (0, n), None,
+                [Map.to(vA, (S, Z)), Map.alloc(vB, (S, Z))])
+            yield from batch(omp)
             yield from omp.taskwait()
-        yield from target_exit_data_spread(
-            omp, devices, (0, n), None,
-            [Map.release(vA, (S, Z)), Map.from_(vB, (S, Z))])
+            for _ in range(LAUNCH_BATCHES):
+                t0 = clock()
+                yield from batch(omp)
+                warm += clock() - t0
+                yield from omp.taskwait()
+            yield from target_exit_data_spread(
+                omp, devices, (0, n), None,
+                [Map.release(vA, (S, Z)), Map.from_(vB, (S, Z))])
 
-    rt.run(program)
-    warm = samples[1:]
-    warm_mean = statistics.mean(warm) / launches
-    return {
-        "plan_cache": plan_cache,
-        "n": n,
-        "devices": num_devices,
-        "repeats": repeats,
-        "launches_per_batch": launches,
-        "cold_launch_s": samples[0] / launches,
-        "warm_launch_s": warm_mean,
-        "warm_launches_per_s": 1.0 / warm_mean if warm_mean else 0.0,
-        "warm_launch_min_s": min(warm) / launches,
-        "cache_hits": rt.plan_cache.hits,
-        "cache_misses": rt.plan_cache.misses,
-        "macro_compiles": rt.plan_cache.macro_compiles,
-        "macro_replays": rt.plan_cache.macro_replays,
-    }
+        rt.run(program)
+        if plan_cache and rt.plan_cache.macro_replays == 0:
+            raise RuntimeError(f"arm {name} took no macro replay")
+        return warm, rt.sim.now
+
+    return name, run
 
 
-def end_to_end(plan_cache: bool = True, n_functional: int = 24,
-               steps: int = 12, gpus: int = 4,
-               fused_timeline: bool = True) -> Dict[str, Any]:
-    """Wall seconds of a small Somier run (whole stack, trace off).
-
-    ``fused_timeline=False`` is the ablation arm for the fused-timeline
-    engine: macro replay stays on but every chunk and section copy runs
-    as a generator process instead of a timeline walker.
-    """
-    topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
-    cfg = machines.paper_somier_config(n_functional=n_functional,
-                                       steps=steps)
-    t0 = time.perf_counter()
-    res = run_somier("one_buffer", cfg, devices=machines.paper_devices(gpus),
-                     topology=topo, cost_model=cm, trace=False,
-                     plan_cache=plan_cache, fused_timeline=fused_timeline)
-    wall = time.perf_counter() - t0
-    return {
-        "plan_cache": plan_cache,
-        "n_functional": n_functional,
-        "steps": steps,
-        "gpus": gpus,
-        "wall_s": wall,
-        "steps_per_s": steps / wall if wall else 0.0,
-        "virtual_s": res.elapsed,
-        "cache_hits": res.stats["plan_cache_hits"],
-        "cache_misses": res.stats["plan_cache_misses"],
-        "macro_compiles": res.stats["macro_compiles"],
-        "macro_replays": res.stats["macro_replays"],
-        "engine_fused_segments": res.stats["engine_fused_segments"],
-        "engine_mean_batch": res.stats["engine_mean_batch"],
-    }
+def _expect_paths(name: str, stats: Dict[str, Any], fused: bool) -> None:
+    """Raise unless a Somier arm replayed and took the walker path iff
+    *fused*: a ratio between two runs of the same path measures nothing."""
+    if stats["macro_replays"] == 0:
+        raise RuntimeError(f"arm {name} took no macro replay")
+    segments = stats["engine_fused_segments"]
+    if (segments > 0) != fused:
+        raise RuntimeError(f"arm {name} ran {segments} fused segments; "
+                           f"expected {'some' if fused else 'none'}")
 
 
-def engine_microbench(events: int = 50000, procs: int = 16,
-                      repeats: int = 5) -> Dict[str, Any]:
-    """Raw event-engine throughput: dispatched events per real second.
+def _somier_arm(name: str, work: Dict[str, Any], fused: bool,
+                **kw: Any) -> Arm:
+    """A whole One Buffer Somier run; *kw* goes to :func:`run_somier`."""
+    def run(clock):
+        t0 = clock()
+        res = run_somier("one_buffer", **work, **kw)
+        seconds = clock() - t0
+        _expect_paths(name, res.stats, fused)
+        return seconds, res.elapsed
 
-    Two arms over the calendar queue (:class:`repro.sim.engine.Simulator`):
-
-    * **sequential** — ``procs`` generator processes each awaiting a run
-      of distinct-time timeouts: the worst case for a calendar queue (one
-      heap operation per bucket of one).
-    * **ties** — the same event count piled onto few distinct timestamps:
-      the case the bucketed queue optimizes (a whole bucket drains per
-      heap operation; ``mean_batch`` reports the amortization).
-
-    Each arm takes the best (minimum) wall time over *repeats*; the
-    timeout freelist reuse fraction is reported from the final run.
-    """
-    from repro.sim.engine import Simulator
-
-    per_proc = max(1, events // procs)
-
-    def seq_arm():
-        sim = Simulator()
-
-        def proc(offset):
-            for _ in range(per_proc):
-                yield sim.timeout(1.0 + offset)
-
-        for i in range(procs):
-            sim.process(proc(i * 1e-4))
-        t0 = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - t0, sim
-
-    def tie_arm():
-        sim = Simulator()
-
-        def proc():
-            for _ in range(per_proc):
-                yield sim.timeout(1.0)
-
-        for _ in range(procs):
-            sim.process(proc())
-        t0 = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - t0, sim
-
-    def best_of(arm):
-        best, sim = float("inf"), None
-        for _ in range(max(1, repeats)):
-            t, s = arm()
-            if t < best:
-                best, sim = t, s
-        return best, sim.engine_stats()
-
-    seq_s, seq_stats = best_of(seq_arm)
-    tie_s, tie_stats = best_of(tie_arm)
-    n = per_proc * procs
-    created = tie_stats["timeouts_created"]
-    reused = tie_stats["timeouts_reused"]
-    return {
-        "events": n,
-        "procs": procs,
-        "repeats": repeats,
-        "seq_s": seq_s,
-        "seq_events_per_s": n / seq_s if seq_s else 0.0,
-        "seq_mean_batch": seq_stats["mean_batch"],
-        "tie_s": tie_s,
-        "tie_events_per_s": n / tie_s if tie_s else 0.0,
-        "tie_mean_batch": tie_stats["mean_batch"],
-        "tie_speedup": seq_s / tie_s if tie_s else 0.0,
-        "timeout_reuse_frac":
-            reused / (created + reused) if created + reused else 0.0,
-    }
+    return name, run
 
 
-#: wall-clock budget for causal edge recording, relative to a traced run
-ANALYZER_OVERHEAD_TARGET = 0.05
+def _report_arm(work: Dict[str, Any]) -> Arm:
+    """The critical-path report of an ``analyze`` run; the run itself is
+    off the clock."""
+    def run(clock):
+        res = run_somier("one_buffer", **work, trace=True, analyze=True)
+        _expect_paths("report", res.stats, False)
+        t0 = clock()
+        res.runtime.analysis().report()
+        return clock() - t0, res.elapsed
 
-
-def analyzer_overhead(runs: int = 3, n_functional: int = 24,
-                      steps: int = 12, gpus: int = 4) -> Dict[str, Any]:
-    """Wall-clock cost of causal edge recording, and of ``--analyze``.
-
-    All arms trace (analysis requires a trace, so the fair baseline is a
-    traced run).  ``recording_overhead`` compares the analyze run with a
-    traced run pinned to ``fused_timeline=False``: the causal recorder
-    disengages the fused-timeline walkers, so that baseline runs the same
-    generator path and the delta is recording alone — process-frontier
-    propagation, per-op dependency capture, resource-grant edges.
-    ``analyze_vs_default`` compares it with the default traced run, which
-    takes the walker path: what turning on ``--analyze`` costs a user, the
-    recording plus leaving the walkers.  Each arm takes the min over
-    *runs* repeats to shed scheduler noise.  The post-run analysis itself
-    (critical path, attribution, what-if replay) is timed separately: it
-    is pure reporting, off the recording hot path.
-    """
-    topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
-    cfg = machines.paper_somier_config(n_functional=n_functional,
-                                       steps=steps)
-    devices = machines.paper_devices(gpus)
-
-    def best_of(analyze: bool, fused_timeline: bool = True):
-        best, res = float("inf"), None
-        for _ in range(max(1, runs)):
-            t0 = time.perf_counter()
-            res = run_somier("one_buffer", cfg, devices=devices,
-                             topology=topo, cost_model=cm, trace=True,
-                             fused_timeline=fused_timeline, analyze=analyze)
-            best = min(best, time.perf_counter() - t0)
-        return best, res
-
-    trace_s, trace_res = best_of(False, fused_timeline=False)
-    analyze_s, analyze_res = best_of(True)
-    default_s, _ = best_of(False)
-    t0 = time.perf_counter()
-    analyze_res.runtime.analysis().report()
-    analysis_s = time.perf_counter() - t0
-    causal = analyze_res.runtime.causal
-    return {
-        "n_functional": n_functional,
-        "steps": steps,
-        "gpus": gpus,
-        "runs": runs,
-        "trace_only_wall_s": trace_s,
-        "default_trace_wall_s": default_s,
-        "analyze_wall_s": analyze_s,
-        "recording_overhead": (analyze_s / trace_s - 1.0) if trace_s else 0.0,
-        "analyze_vs_default":
-            (analyze_s / default_s - 1.0) if default_s else 0.0,
-        "overhead_target": ANALYZER_OVERHEAD_TARGET,
-        "analysis_s": analysis_s,
-        "events": len(analyze_res.runtime.trace.events),
-        "dep_edges": causal.dep_edge_count,
-        "res_edges": len(causal.res_edges),
-        "virtual_identical": trace_res.elapsed == analyze_res.elapsed,
-    }
+    return "report", run
 
 
 def host_metadata() -> Dict[str, Any]:
@@ -296,47 +192,62 @@ def host_metadata() -> Dict[str, Any]:
     }
 
 
-def run_wallclock(n: int = 4096, num_devices: int = 4, repeats: int = 30,
-                  launches: int = 5, n_functional: int = 24,
-                  steps: int = 12, analyzer_runs: int = 3,
+def run_wallclock(n_functional: int = 24, steps: int = 12, pairs: int = 10,
                   timestamp: Optional[str] = None) -> Dict[str, Any]:
-    """The full track: microbench (cache on/off) + end-to-end + engine +
-    analyzer, stamped with the host metadata."""
-    micro_on = launch_microbench(True, n=n, num_devices=num_devices,
-                                 repeats=repeats, launches=launches)
-    micro_off = launch_microbench(False, n=n, num_devices=num_devices,
-                                  repeats=repeats, launches=launches)
-    # Interleaved best-of: ambient load varies on multi-second scales, so
-    # a single sample per arm can hand one arm an entire load burst and
-    # invert the ratio.
-    e2e_on = e2e_off = e2e_fused_off = None
-    for _ in range(3):
-        on = end_to_end(True, n_functional=n_functional, steps=steps)
-        off = end_to_end(False, n_functional=n_functional, steps=steps)
-        fused_off = end_to_end(True, n_functional=n_functional, steps=steps,
-                               fused_timeline=False)
-        if e2e_on is None or on["wall_s"] < e2e_on["wall_s"]:
-            e2e_on = on
-        if e2e_off is None or off["wall_s"] < e2e_off["wall_s"]:
-            e2e_off = off
-        if e2e_fused_off is None or \
-                fused_off["wall_s"] < e2e_fused_off["wall_s"]:
-            e2e_fused_off = fused_off
-    engine = engine_microbench()
-    analyzer = analyzer_overhead(runs=analyzer_runs,
-                                 n_functional=n_functional, steps=steps)
+    """All five ratios over *pairs* pairs each, stamped with the host.
+
+    The Somier arms run One Buffer on the paper's four-GPU node at
+    *n_functional* for *steps* timesteps.
+    """
+    gpus = 4
+    topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
+    work = {"config": machines.paper_somier_config(
+                n_functional=n_functional, steps=steps),
+            "devices": machines.paper_devices(gpus),
+            "topology": topo, "cost_model": cm}
+    analyze = _somier_arm("analyze", work, False, trace=True, analyze=True)
     return {
-        "schema": "repro-wallclock-7",
+        "schema": "repro-wallclock-8",
         "timestamp": timestamp,
         "host": host_metadata(),
-        "launch_microbench": {"cache_on": micro_on,
-                              "cache_off": micro_off},
-        "end_to_end": {"cache_on": e2e_on, "cache_off": e2e_off,
-                       "fused_off": e2e_fused_off},
-        "engine": engine,
-        "analyzer_overhead": analyzer,
-        "warm_launch_speedup":
-            micro_off["warm_launch_s"] / micro_on["warm_launch_s"],
-        "end_to_end_speedup": e2e_off["wall_s"] / e2e_on["wall_s"],
-        "fused_e2e_speedup": e2e_fused_off["wall_s"] / e2e_on["wall_s"],
+        "clock": "process_time",
+        "pairs": pairs,
+        "n_functional": n_functional,
+        "steps": steps,
+        "warm_launch_speedup": paired(
+            _launch_arm(False), _launch_arm(True), pairs),
+        "fused_e2e_speedup": paired(
+            _somier_arm("generators", work, False, trace=False,
+                        analyze=False, fused_timeline=False),
+            _somier_arm("fused", work, True, trace=False, analyze=False),
+            pairs),
+        "recording_overhead": paired(
+            analyze,
+            _somier_arm("traced_generators", work, False, trace=True,
+                        analyze=False, fused_timeline=False),
+            pairs, overhead=True),
+        "analyze_vs_default": paired(
+            analyze,
+            _somier_arm("traced_default", work, True, trace=True,
+                        analyze=False),
+            pairs, overhead=True),
+        "report_vs_run": paired(_report_arm(work), analyze, pairs),
     }
+
+
+def failed_gates(result: Dict[str, Any],
+                 bounds: Dict[str, Tuple[Optional[float], Optional[float]]]
+                 ) -> List[str]:
+    """One message per ratio whose median falls outside its bounds.
+
+    *bounds* maps a ratio key to ``(low, high)``; ``None`` leaves that
+    side open.
+    """
+    failed = []
+    for key, (low, high) in bounds.items():
+        median = result[key]["median"]
+        if low is not None and median < low:
+            failed.append(f"{key} median {median:.3f} is below {low}")
+        if high is not None and median > high:
+            failed.append(f"{key} median {median:.3f} is above {high}")
+    return failed

@@ -223,9 +223,9 @@ def maps_signature(maps: Sequence[Any]) -> Tuple[Any, ...]:
 
     The ``_section_key`` normalization is inlined: this runs on *every*
     directive call, hit or miss, and the extra call frame per clause was a
-    measurable share of the hit path (BENCH_wallclock's end_to_end_speedup
-    was below 1.0 before it was flattened).  The map type rides as its
-    value string, not the enum member — ``enum.Enum.__hash__`` is a
+    measurable share of the hit path (the end-to-end Somier run was slower
+    with the cache on than off before it was flattened).  The map type
+    rides as its value string, not the enum member — ``enum.Enum.__hash__`` is a
     Python-level call, and the key is hashed on every directive call.
     """
     out = []
