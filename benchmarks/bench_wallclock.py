@@ -26,6 +26,13 @@ import time
 from repro.bench.wallclock import failed_gates, run_wallclock
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_wallclock.json",
@@ -34,7 +41,7 @@ def main(argv=None) -> int:
                     help="Somier functional grid edge")
     ap.add_argument("--steps", type=int, default=12,
                     help="Somier timesteps")
-    ap.add_argument("--pairs", type=int, default=10,
+    ap.add_argument("--pairs", type=positive_int, default=10,
                     help="alternating pairs of arms per ratio")
     ap.add_argument("--max-analyze-overhead", type=float, default=None,
                     metavar="FRAC",

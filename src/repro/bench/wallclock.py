@@ -21,8 +21,8 @@ Five ratios, each a median over pairs:
   since the recorder disengages the walkers (CI gate ≤ 0.25).
 * ``analyze_vs_default`` — the ``analyze`` run over the default traced
   run, minus one: what ``--analyze`` costs a user.
-* ``report_vs_run`` — ``CritPathAnalysis.report()`` over the ``analyze``
-  run it explains.
+* ``report_vs_run`` — ``CritPathAnalysis.report()`` of one ``analyze``
+  run over another ``analyze`` run of the same program (the paired arm).
 
 Every pair checks that its arms took the paths the ratio compares (see
 :func:`paired` and the arm factories) and raises ``RuntimeError`` naming

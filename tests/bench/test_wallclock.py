@@ -14,11 +14,23 @@ from repro.bench.wallclock import (
     paired,
     run_wallclock,
 )
+from repro.sim.topology import MACHINE_ENV
 
 COMMITTED = pathlib.Path(__file__).resolve().parents[2] / "BENCH_wallclock.json"
 
 RATIOS = ("warm_launch_speedup", "fused_e2e_speedup", "recording_overhead",
           "analyze_vs_default", "report_vs_run")
+
+
+@pytest.fixture(autouse=True)
+def _hermetic_knob_env(monkeypatch):
+    """The arm checks require macro replay and, on the walker arms, fused
+    segments; any globally armed fault injector, sanitizer or causal
+    recorder disengages them by design, so the CI env-matrix legs must
+    not leak into the real run."""
+    for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
+                 "REPRO_ANALYZE", MACHINE_ENV):
+        monkeypatch.delenv(knob, raising=False)
 
 
 class FakeClock:
