@@ -2,9 +2,9 @@
 
 Every module regenerates one table or figure of the paper.  Simulated
 (virtual) execution times are the scientific output — they are printed as
-paper-vs-measured tables and attached to pytest-benchmark's ``extra_info``;
-the wall-clock numbers pytest-benchmark itself reports measure the
-simulator.
+paper-vs-measured tables and attached to pytest-benchmark's ``extra_info``
+(with the run's ``SomierResult.stats`` counters); the wall-clock numbers
+pytest-benchmark itself reports measure the simulator.
 
 A session-scoped cache shares the expensive full-scale runs (Table I/II and
 the trace analyses reuse the same simulations).
@@ -21,7 +21,6 @@ from repro.bench.machines import (
     paper_machine,
     paper_somier_config,
 )
-from repro.obs import MetricsTool
 from repro.somier import run_somier
 
 #: functional grid standing in for the paper's 1200^3 (see repro.bench)
@@ -43,13 +42,10 @@ class PaperRuns:
         if key not in self._cache:
             topo, cm = paper_machine(gpus, n_functional=n_functional)
             cfg = paper_somier_config(n_functional=n_functional, steps=steps)
-            # Attach the metrics tool so BENCH_*.json runs carry counter
-            # snapshots (tool callbacks never advance virtual time, so the
-            # reported elapsed seconds are unaffected).
             self._cache[key] = run_somier(
                 impl, cfg, devices=paper_devices(gpus), topology=topo,
                 cost_model=cm, trace=trace, data_depend=data_depend,
-                fuse_transfers=fuse_transfers, tools=(MetricsTool(),))
+                fuse_transfers=fuse_transfers)
         return self._cache[key]
 
 
@@ -63,9 +59,9 @@ def run_once(benchmark, fn, *args, **kwargs):
     deterministic, repetition adds nothing)."""
     result = benchmark.pedantic(fn, args=args, kwargs=kwargs,
                                 rounds=1, iterations=1)
-    metrics = getattr(result, "metrics", None)
-    if metrics:
-        benchmark.extra_info["metrics"] = metrics["counters"]
+    stats = getattr(result, "stats", None)
+    if isinstance(stats, dict):
+        benchmark.extra_info["stats"] = stats
     return result
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench import machines
-from repro.obs.builtin import MetricsTool
 from repro.somier import run_somier
 from repro.somier.driver import SomierResult
 from repro.util.format import format_hms, format_table
@@ -73,28 +72,23 @@ def _critpath_info(result: SomierResult) -> Optional[Dict[str, object]]:
 
 def _run_one(impl: str, gpus: int, n_functional: int, steps: int,
              data_depend: bool = False, fuse_transfers: bool = False,
-             trace: bool = False, metrics: bool = False,
-             plan_cache: bool = True,
+             trace: bool = False, plan_cache: bool = True,
              analyze: bool = False) -> SomierResult:
     topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
     cfg = machines.paper_somier_config(n_functional=n_functional, steps=steps)
-    # Tool callbacks never touch virtual time, so metrics=True changes only
-    # what is *reported* (SomierResult.metrics), never the elapsed numbers.
-    # Likewise plan_cache=False changes host-side lowering work only — the
-    # virtual timeline is bit-identical either way (tests assert this), and
-    # the causal recorder (analyze=True) only observes.
-    tools = (MetricsTool(),) if metrics else ()
+    # plan_cache=False changes host-side lowering work only — the virtual
+    # timeline is bit-identical either way (tests assert this), and the
+    # causal recorder (analyze=True) only observes.
     return run_somier(impl, cfg, devices=machines.paper_devices(gpus),
                       topology=topo, cost_model=cm,
                       data_depend=data_depend,
                       fuse_transfers=fuse_transfers, trace=trace,
                       plan_cache=plan_cache,
-                      analyze=analyze or None,
-                      tools=tools)
+                      analyze=analyze or None)
 
 
 def run_table1(n_functional: int = 96, steps: int = machines.PAPER_STEPS,
-               trace: bool = False, metrics: bool = False,
+               trace: bool = False,
                analyze: bool = False) -> List[Experiment]:
     """Table I: One Buffer — target (1 GPU) vs target spread (1/2/4)."""
     rows = [("target", 1), ("one_buffer", 1), ("one_buffer", 2),
@@ -102,7 +96,7 @@ def run_table1(n_functional: int = 96, steps: int = machines.PAPER_STEPS,
     out = []
     for impl, gpus in rows:
         result = _run_one(impl, gpus, n_functional, steps, trace=trace,
-                          metrics=metrics, analyze=analyze)
+                          analyze=analyze)
         out.append(Experiment(impl=impl, gpus=gpus, result=result,
                               paper_seconds=machines.PAPER_TABLE1[(impl, gpus)],
                               critpath=_critpath_info(result)))
@@ -110,14 +104,14 @@ def run_table1(n_functional: int = 96, steps: int = machines.PAPER_STEPS,
 
 
 def run_table2(n_functional: int = 96, steps: int = machines.PAPER_STEPS,
-               trace: bool = False, metrics: bool = False,
+               trace: bool = False,
                analyze: bool = False) -> List[Experiment]:
     """Table II / Fig. 2: One Buffer vs Two Buffers vs Double Buffering."""
     out = []
     for impl in ("one_buffer", "two_buffers", "double_buffering"):
         for gpus in (2, 4):
             result = _run_one(impl, gpus, n_functional, steps, trace=trace,
-                              metrics=metrics, analyze=analyze)
+                              analyze=analyze)
             out.append(Experiment(
                 impl=impl, gpus=gpus, result=result,
                 paper_seconds=machines.PAPER_TABLE2[(impl, gpus)],

@@ -74,17 +74,24 @@ PAPER_TABLE2 = {
 }
 
 
+def _cost_model(n_functional: int) -> CostModel:
+    """The cost model scaling a functional grid of ``n_functional`` up to
+    the paper's 1200."""
+    if n_functional < 1:
+        raise ValueError(f"n_functional must be >= 1, got {n_functional}")
+    return CostModel(scale=(PAPER_N / n_functional) ** 3)
+
+
 def paper_machine(num_devices: int = 4,
                   n_functional: int = 96) -> Tuple[NodeTopology, CostModel]:
     """The calibrated CTE-POWER node + cost model for a functional grid of
     ``n_functional`` standing in for the paper's 1200."""
-    scale = (PAPER_N / n_functional) ** 3
     topo = cte_power_node(num_devices,
                           link_bandwidth=LINK_BANDWIDTH,
                           staging_bandwidth=STAGING_BANDWIDTH,
                           per_call_latency=PER_CALL_LATENCY,
                           iters_per_second=ITERS_PER_SECOND)
-    return topo, CostModel(scale=scale)
+    return topo, _cost_model(n_functional)
 
 
 def paper_cluster_machine(num_nodes: int, devices_per_node: int,
@@ -97,7 +104,6 @@ def paper_cluster_machine(num_nodes: int, devices_per_node: int,
     the inter-node network (:data:`NETWORK_BANDWIDTH`,
     :data:`NETWORK_LATENCY`) is an assumption, not a fit.
     """
-    scale = (PAPER_N / n_functional) ** 3
     network = NetworkLinkSpec(bandwidth_bytes_per_s=NETWORK_BANDWIDTH,
                               per_message_latency=NETWORK_LATENCY)
     topo = uniform_cluster(num_nodes, devices_per_node,
@@ -106,7 +112,7 @@ def paper_cluster_machine(num_nodes: int, devices_per_node: int,
                            staging_bandwidth=STAGING_BANDWIDTH,
                            per_call_latency=PER_CALL_LATENCY,
                            iters_per_second=ITERS_PER_SECOND)
-    return topo, CostModel(scale=scale)
+    return topo, _cost_model(n_functional)
 
 
 def machine_for_spec(spec: str, n_functional: int = 96
@@ -132,13 +138,12 @@ def machine_for_spec(spec: str, n_functional: int = 96
         num = int(m.group(1))
         if 1 <= num <= 4:
             return paper_machine(num, n_functional=n_functional)
-        scale = (PAPER_N / n_functional) ** 3
         topo = uniform_node(num, devices_per_socket=2,
                             link_bandwidth=LINK_BANDWIDTH,
                             staging_bandwidth=STAGING_BANDWIDTH,
                             per_call_latency=PER_CALL_LATENCY,
                             iters_per_second=ITERS_PER_SECOND)
-        return topo, CostModel(scale=scale)
+        return topo, _cost_model(n_functional)
     raise ValueError(
         f"unknown machine spec {spec!r} "
         "(expected 'cluster:NxM', 'cte-power[:N]' or 'gpus:N')")

@@ -4,8 +4,9 @@ Subcommands:
 
 * ``somier``   — run one Somier experiment and print the result
                  (implementation, device count, optional extensions, trace);
-* ``stats``    — run a Somier experiment with the metrics tool attached and
-                 print the per-directive / per-device profiling report;
+* ``stats``    — run a Somier experiment and print the per-directive /
+                 per-device profiling report, built from the run's trace
+                 and counters after the run;
 * ``analyze``  — run a Somier experiment with the causal recorder attached
                  and print the critical-path / bottleneck-attribution /
                  what-if report (``--json`` for the machine-readable
@@ -71,6 +72,21 @@ def _devices_arg(text: str) -> List[int]:
             f"devices must be a comma-separated id list, got {text!r}")
 
 
+def _int_at_least(lo: int):
+    """An argparse ``type`` accepting integers >= *lo*."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _resolve_machine(args):
     """(topology, cost model, devices) for a run.
 
@@ -114,9 +130,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                         "CTE-POWER node) — see docs/cluster.md")
     p.add_argument("--devices", type=_devices_arg, default=None,
                    help="explicit device order, e.g. 1,0,3,2")
-    p.add_argument("--n-functional", type=int, default=48,
+    p.add_argument("--n-functional", type=_int_at_least(4), default=48,
                    help="functional grid edge standing in for 1200")
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_int_at_least(1), default=8)
     p.add_argument("--data-depend", action="store_true",
                    help="enable the §IX depend-on-data-directives extension")
     p.add_argument("--fuse-transfers", action="store_true",
@@ -168,17 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="check the result against the sequential reference")
     p.add_argument("--profile", action="store_true",
-                   help="attach the metrics tool and print the "
-                        "per-directive/per-device profiling report")
+                   help="print the per-directive/per-device profiling "
+                        "report, built from the run's trace (implies "
+                        "tracing)")
     p.add_argument("--trace-json", metavar="PATH", default=None,
-                   help="write the Chrome-trace JSON (with nested "
-                        "directive spans when profiling) to PATH")
+                   help="write the Chrome-trace JSON (device lanes plus "
+                        "directive and chunk window lanes) to PATH")
     p.add_argument("--metrics-json", metavar="PATH", default=None,
-                   help="write the profile report JSON to PATH")
+                   help="write the profile report JSON to PATH (implies "
+                        "tracing)")
 
     p = sub.add_parser("stats",
-                       help="run Somier with the metrics tool and print "
-                            "the profiling report")
+                       help="run Somier and print the profiling report "
+                            "built from its trace and counters")
     _add_run_flags(p)
     p.add_argument("--sanitize", nargs="?", const="on", default=None,
                    choices=["on", "strict"], metavar="MODE",
@@ -187,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON instead of text tables")
     p.add_argument("--full", action="store_true",
-                   help="also print the raw metrics catalogue")
+                   help="also print the raw counter catalogue")
 
     p = sub.add_parser("analyze",
                        help="run Somier with the causal recorder and print "
@@ -207,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("table1", "regenerate the paper's Table I"),
                             ("table2", "regenerate the paper's Table II")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n-functional", type=int, default=96)
-        p.add_argument("--steps", type=int, default=machines.PAPER_STEPS)
+        p.add_argument("--n-functional", type=_int_at_least(4), default=96)
+        p.add_argument("--steps", type=_int_at_least(1),
+                       default=machines.PAPER_STEPS)
 
     p = sub.add_parser("listing3",
                        help="print a static spread distribution")
@@ -271,17 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_somier(args) -> int:
-    from repro.obs import Profiler
+    from repro.obs import ProfileReport
 
     cfg, kw = _run_args(args)
     devices = kw["devices"]
-    profiling = args.profile or args.trace_json or args.metrics_json
-    prof = Profiler() if profiling else None
+    profiling = bool(args.profile or args.trace_json or args.metrics_json)
     res = run_somier(args.impl, cfg, **kw,
-                     trace=args.trace or bool(args.trace_json),
+                     trace=args.trace or profiling,
                      sanitize=args.sanitize,
-                     analyze=args.analyze or None,
-                     tools=prof.tools if prof else ())
+                     analyze=args.analyze or None)
     print(f"{args.impl} on {len(devices)} device(s) {devices}: "
           f"{format_hms(res.elapsed)} virtual")
     print(f"plan: {res.plan.num_buffers} buffer(s) x "
@@ -313,8 +330,8 @@ def cmd_somier(args) -> int:
     if args.trace:
         print()
         print(res.runtime.trace.to_ascii(width=100))
-    if prof is not None:
-        report = prof.report(makespan=res.elapsed)
+    if profiling:
+        report = ProfileReport(res.runtime)
         if args.profile:
             print()
             print(report.render_text())
@@ -322,8 +339,7 @@ def cmd_somier(args) -> int:
             flows = (res.runtime.analysis().flow_records()
                      if res.runtime.causal is not None else ())
             with open(args.trace_json, "w") as f:
-                f.write(prof.chrome_trace(res.runtime.trace,
-                                          extra_records=flows))
+                f.write(report.chrome_trace(flows))
             print(f"chrome trace written to {args.trace_json}")
         if args.metrics_json:
             with open(args.metrics_json, "w") as f:
@@ -333,16 +349,14 @@ def cmd_somier(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from repro.obs import Profiler
+    from repro.obs import ProfileReport
 
     cfg, kw = _run_args(args)
     devices = kw["devices"]
-    prof = Profiler()
     res = run_somier(args.impl, cfg, **kw, sanitize=args.sanitize,
-                     analyze=True, tools=prof.tools)
+                     analyze=True)
     analysis = res.runtime.analysis()
-    report = prof.report(makespan=res.elapsed,
-                         critpath=analysis.headline())
+    report = ProfileReport(res.runtime, critpath=analysis.headline())
     if args.json:
         print(report.to_json(indent=2))
         return 0
@@ -352,25 +366,27 @@ def cmd_stats(args) -> int:
     print(report.render_text())
     print(analysis.summary_line())
     if args.full:
+        raw = dict(report.counters())
+        raw.update((f"engine_{k}", v)
+                   for k, v in res.runtime.sim.engine_stats().items())
         print()
-        print(prof.registry.render_text())
+        print(format_table(["counter", "value"],
+                           [(k, f"{v:g}") for k, v in raw.items()]))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    from repro.obs import Profiler
+    from repro.obs import ProfileReport
 
     cfg, kw = _run_args(args)
     devices = kw["devices"]
-    prof = Profiler() if args.trace_json else None
-    res = run_somier(args.impl, cfg, **kw, analyze=True,
-                     tools=prof.tools if prof else ())
+    res = run_somier(args.impl, cfg, **kw, analyze=True)
     analysis = res.runtime.analysis()
     if args.trace_json:
-        # span forest (pid 1) + causal flow arrows, like somier --trace-json
+        # span lanes (pid 1) + causal flow arrows, like somier --trace-json
         with open(args.trace_json, "w") as f:
-            f.write(prof.chrome_trace(res.runtime.trace,
-                                      extra_records=analysis.flow_records()))
+            f.write(ProfileReport(res.runtime).chrome_trace(
+                analysis.flow_records()))
     if args.json:
         print(analysis.to_json(indent=2))
         return 0

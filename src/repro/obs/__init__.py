@@ -1,19 +1,14 @@
 """``repro.obs`` — the observability subsystem.
 
-OMPT-style tool callbacks (:mod:`repro.obs.tool`), a label-addressed
-metrics registry (:mod:`repro.obs.metrics`), the built-in metrics tool
-(:mod:`repro.obs.builtin`), nested span recording
-(:mod:`repro.obs.spans`) and the profiling report layer
-(:mod:`repro.obs.report`).  See ``docs/observability.md``.
+OMPT-style tool callbacks (:mod:`repro.obs.tool`), the profiling report
+built from a finished run's trace and counters (:mod:`repro.obs.report`)
+and the critical-path analyzer (:mod:`repro.obs.critpath`).  See
+``docs/observability.md``.
 """
 
-from repro.obs.builtin import MetricsTool
 from repro.obs.critpath import (CausalRecorder, CritPathAnalysis,
                                 CRITPATH_SCHEMA)
-from repro.obs.metrics import (Counter, Gauge, MetricsRegistry, TimerHist,
-                               DEFAULT_BUCKETS)
-from repro.obs.report import ProfileReport, Profiler, PROFILE_SCHEMA
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.report import ProfileReport, PROFILE_SCHEMA
 from repro.obs.tool import (CALLBACK_POINTS, DATA_OP, DATA_OP_KINDS,
                             DEPENDENCE_RESOLVED, DEVICE_INIT,
                             DIRECTIVE_BEGIN, DIRECTIVE_END, KERNEL_COMPLETE,
@@ -22,11 +17,9 @@ from repro.obs.tool import (CALLBACK_POINTS, DATA_OP, DATA_OP_KINDS,
 
 __all__ = [
     "CALLBACK_POINTS", "CRITPATH_SCHEMA", "DATA_OP", "DATA_OP_KINDS",
-    "DEFAULT_BUCKETS",
     "DEPENDENCE_RESOLVED", "DEVICE_INIT", "DIRECTIVE_BEGIN", "DIRECTIVE_END",
     "KERNEL_COMPLETE", "KERNEL_LAUNCH", "PROFILE_SCHEMA", "TARGET_SUBMIT",
     "TASK_COMPLETE", "TASK_CREATE", "TASK_SCHEDULE",
-    "CausalRecorder", "Counter", "CritPathAnalysis", "Gauge",
-    "MetricsRegistry", "MetricsTool", "ProfileReport",
-    "Profiler", "Span", "SpanRecorder", "TimerHist", "Tool", "ToolRegistry",
+    "CausalRecorder", "CritPathAnalysis", "ProfileReport", "Tool",
+    "ToolRegistry",
 ]

@@ -115,7 +115,7 @@ class Trace:
         is named with an ``"M"`` metadata record (``thread_name`` +
         ``thread_sort_index``), so Perfetto / chrome://tracing shows
         ``device:engine`` labels instead of bare tids.  *extra_records*
-        (e.g. :meth:`repro.obs.spans.SpanRecorder.to_chrome_records`) are
+        (e.g. :meth:`repro.obs.report.ProfileReport.chrome_records`) are
         appended verbatim — they use their own pid, leaving the raw device
         lanes on pid 0.
         """

@@ -10,11 +10,10 @@ statistics the benchmarks report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.builtin import MetricsTool
 from repro.obs.tool import Tool
 from repro.openmp.runtime import OpenMPRuntime
 from repro.sim.costmodel import CostModel
@@ -58,8 +57,6 @@ class SomierResult:
     state: SomierState
     runtime: OpenMPRuntime
     stats: Dict[str, float] = field(default_factory=dict)
-    #: snapshot of the first registered MetricsTool, if any tool was passed
-    metrics: Optional[Dict[str, Any]] = None
 
 
 def run_somier(impl: str, config: SomierConfig,
@@ -91,8 +88,8 @@ def run_somier(impl: str, config: SomierConfig,
     taskgroups (members only) instead of the paper's all-device barrier —
     the counterfactual the global-drain ablation benchmark measures.
     ``tools`` are observability tools registered with the runtime before
-    the program starts; if any is a :class:`MetricsTool`, its snapshot
-    lands on ``SomierResult.metrics``.  ``plan_cache=False`` (CLI
+    the program starts (any registered tool puts warm launches on the
+    object path).  ``plan_cache=False`` (CLI
     ``--no-plan-cache``) disables spread launch-plan replay.
     ``fused_timeline=False`` keeps macro replay but runs every chunk as a
     generator process instead of a fused timeline walker — see
@@ -120,13 +117,20 @@ def run_somier(impl: str, config: SomierConfig,
             raise OmpRuntimeError(str(err)) from err
     if topo is None:
         topo = cte_power_node(4)
+    devs = list(devices) if devices is not None else list(range(topo.num_devices))
+    if not devs:
+        raise OmpRuntimeError("devices: the device list is empty")
+    for d in devs:
+        if not 0 <= d < topo.num_devices:
+            raise OmpRuntimeError(
+                f"devices: device id {d} out of range (the machine has "
+                f"{topo.num_devices} devices)")
     rt = OpenMPRuntime(topology=topo, cost_model=cost_model,
                        trace_enabled=trace or analyze is True,
                        taskgroup_global_drain=taskgroup_global_drain,
                        plan_cache=plan_cache, fused_timeline=fused_timeline,
                        faults=faults, fault_seed=fault_seed,
                        sanitize=sanitize, analyze=analyze)
-    devs = list(devices) if devices is not None else list(range(topo.num_devices))
     for tool in tools:
         rt.tools.register(tool)
     if data_depend:
@@ -193,12 +197,7 @@ def run_somier(impl: str, config: SomierConfig,
             "causal_dep_edges": rt.causal.dep_edge_count,
             "causal_res_edges": len(rt.causal.res_edges),
         })
-    for t in tools:
-        if isinstance(t, MetricsTool):
-            t.observe_engine(engine)
-    metrics = next((t.snapshot() for t in tools
-                    if isinstance(t, MetricsTool)), None)
     return SomierResult(impl=impl, devices=devs, config=config, plan=plan,
                         elapsed=rt.elapsed,
                         centers=np.array(state.centers), state=state,
-                        runtime=rt, stats=stats, metrics=metrics)
+                        runtime=rt, stats=stats)

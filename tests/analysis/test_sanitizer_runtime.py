@@ -73,12 +73,9 @@ class TestRaceDetection:
         assert "unordered" in rt.sanitizer.summary()
 
     def test_reports_carry_device_and_directive_provenance(self):
-        # Directive ids are allocated by the observability layer, so a
-        # tool must be attached for reports to carry them.
-        from repro.obs.builtin import MetricsTool
-
+        # Directive ids are allocated by the runtime whether or not a
+        # tool is registered; the reports carry them either way.
         rt = make_rt(sanitize=True)
-        rt.tools.register(MetricsTool())
         rt.run(writer_program())
         report = rt.sanitizer.reports[0]
         assert report.first_device is not None

@@ -107,13 +107,11 @@ class TestFailoverNoSpuriousRaces:
 
 class TestObservability:
     def test_profile_report_carries_analysis_block(self):
-        from repro.obs.builtin import MetricsTool
         from repro.obs.report import ProfileReport
 
-        tool = MetricsTool()
-        res = run("one_buffer", sanitize=True, tools=[tool])
+        res = run("one_buffer", sanitize=True)
         assert res.stats["sanitizer_races"] == 0
-        report = ProfileReport(tool.registry)
+        report = ProfileReport(res.runtime)
         block = report.analysis_summary()
         assert block is not None
         assert block["ops_recorded"] == res.stats["sanitizer_ops"]
@@ -121,9 +119,7 @@ class TestObservability:
         assert block["races"] == 0
 
     def test_unsanitized_run_has_no_analysis_block(self):
-        from repro.obs.builtin import MetricsTool
         from repro.obs.report import ProfileReport
 
-        tool = MetricsTool()
-        run("one_buffer", tools=[tool])
-        assert ProfileReport(tool.registry).analysis_summary() is None
+        res = run("one_buffer")
+        assert ProfileReport(res.runtime).analysis_summary() is None

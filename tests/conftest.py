@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.obs.tool import CALLBACK_POINTS, Tool
 from repro.openmp.runtime import OpenMPRuntime
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Simulator
@@ -45,3 +49,31 @@ def make_runtime(num_devices: int = 4, memory_bytes: float = 1e9,
 def run_program(rt: OpenMPRuntime, genfn, *args):
     """Run a host program and return its result."""
     return rt.run(genfn, *args)
+
+
+class CallbackLog(Tool):
+    """A registered tool that counts every callback per point and logs the
+    payloads of the points named in *keep*.
+
+    Registering any tool sends warm launches down the object path, so
+    tests use this one both to observe the callback stream and to put a
+    run on the tooled path.
+    """
+
+    def __init__(self, *keep):
+        self.keep = frozenset(keep)
+        self.counts = Counter()
+        self.events = []
+
+    def callbacks(self):
+        return {point: partial(self._log, point) for point in CALLBACK_POINTS}
+
+    def _log(self, point, **payload):
+        self.counts[point] += 1
+        if point in self.keep:
+            self.events.append((point, payload))
+
+    def of(self, point, **match):
+        """Logged payloads at *point* whose fields equal *match*."""
+        return [kw for p, kw in self.events if p == point
+                and all(kw.get(k) == v for k, v in match.items())]

@@ -13,9 +13,9 @@ deterministically for a given spec + seed.
 import numpy as np
 import pytest
 
-from repro.obs import MetricsTool
 from repro.sim.topology import MACHINE_ENV, uniform_cluster
 from repro.somier import SomierConfig, run_somier
+from tests.conftest import CallbackLog
 
 CFG = SomierConfig(n=18, steps=3)
 
@@ -105,7 +105,7 @@ class TestClusterBitIdentity:
         base = run()
         assert_bit_identical(base, run(fused_timeline=False))
         # a registered tool replays cache hits through the object path
-        assert_bit_identical(base, run(tools=(MetricsTool(),)))
+        assert_bit_identical(base, run(tools=(CallbackLog(),)))
         assert_bit_identical(base, run(plan_cache=False))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.device.kernel import KernelSpec
-from repro.obs import MetricsTool
+from repro.obs import ProfileReport
 from repro.openmp import Map, OpenMPRuntime, Var
 from repro.sim.faults import RetryPolicy
 from repro.sim.topology import cte_power_node
@@ -32,6 +32,7 @@ from repro.util.errors import (
     SpreadExecutionError,
     TransferFaultError,
 )
+from tests.conftest import CallbackLog
 
 N = 64
 ITERS = 3
@@ -106,18 +107,18 @@ class TestRetryTransparency:
                 retry=RetryPolicy(max_attempts=2, backoff=10e-6))
 
     def test_giveup_and_retry_events_reach_tools(self):
-        tool = MetricsTool()
+        log = CallbackLog("fault_event")
         with pytest.raises(TransferFaultError):
             run_iterated_spread(
-                [0, 1], faults="h2d:1.0", tools=(tool,),
+                [0, 1], faults="h2d:1.0", tools=(log,),
                 retry=RetryPolicy(max_attempts=3, backoff=10e-6))
-        reg = tool.registry
         # both chunks' h2d chains retry concurrently: 2 retries each
         # before the giveup on attempt 3
-        assert reg.sum_counter("fault_retries") == 4
-        assert reg.sum_counter("fault_giveups") >= 1
-        assert reg.sum_counter("faults_injected") >= 3
-        assert reg.counter_value("fault_backoff_seconds") > 0
+        retries = log.of("fault_event", kind="retry")
+        assert len(retries) == 4
+        assert len(log.of("fault_event", kind="giveup")) >= 1
+        assert len(log.of("fault_event", kind="inject")) >= 3
+        assert sum(kw["delay"] for kw in retries) > 0
 
 
 class TestDeviceLossFailover:
@@ -154,12 +155,12 @@ class TestDeviceLossFailover:
         assert rt.plan_cache.invalidations > 0
 
     def test_device_lost_and_failover_events_reach_tools(self):
-        tool = MetricsTool()
+        log = CallbackLog("fault_event")
         rt, _ = run_iterated_spread([0, 1, 2, 3], faults="device@3:#1",
-                                    tools=(tool,))
-        reg = tool.registry
-        assert reg.counter_value("devices_lost") == 1
-        assert reg.sum_counter("fault_failovers") == rt.fault_failovers > 0
+                                    tools=(log,))
+        assert len(log.of("fault_event", kind="device_lost")) == 1
+        assert len(log.of("fault_event", kind="failover")) == \
+            rt.fault_failovers > 0
 
 
 class TestDataDirectiveFailover:
@@ -219,15 +220,13 @@ class TestZeroImpact:
         assert zero_rt.fault_retries == zero_rt.fault_failovers == 0
 
     def test_report_renders_fault_totals(self):
-        from repro.obs import Profiler
-
-        prof = Profiler()
-        rt, _ = run_iterated_spread([0, 1, 2, 3], faults="device@1:#1",
-                                    tools=prof.tools)
-        text = prof.report(makespan=rt.elapsed).render_text()
-        assert "faults:" in text
-        assert "1 devices lost" in text
         import json
 
-        payload = json.loads(prof.report().to_json())
+        rt, _ = run_iterated_spread([0, 1, 2, 3], faults="device@1:#1")
+        report = ProfileReport(rt)
+        text = report.render_text()
+        assert "faults:" in text
+        assert "1 devices lost" in text
+        payload = json.loads(report.to_json())
         assert payload["faults"]["devices_lost"] == 1
+        assert payload["faults"]["failovers"] == rt.fault_failovers > 0

@@ -1,9 +1,8 @@
-"""Acceptance tests: nested directive → chunk → op spans.
+"""Acceptance tests: directive and chunk windows taken from the trace.
 
-The issue's bar: for at least one spread directive, the exported span
-forest must show parent/child *interval containment* — the directive span
-contains its chunk-task spans, which contain their kernel/transfer op
-spans — and the merged Chrome trace must parse as JSON.
+For a spread directive, the directive window must contain its chunk
+windows, which contain their kernel/transfer ops on the raw device lanes;
+the merged Chrome trace must parse as JSON and name its span lanes.
 """
 
 import json
@@ -12,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.device.kernel import KernelSpec
-from repro.obs import SpanRecorder
+from repro.obs import ProfileReport
+from repro.obs.report import CHROME_PID
 from repro.openmp import Map, OpenMPRuntime, Var
 from repro.sim.topology import cte_power_node
 from repro.spread import omp_spread_size, omp_spread_start, target_spread
@@ -29,11 +29,9 @@ def scale_kernel():
 
 @pytest.fixture()
 def recorded():
-    """One 4-device target spread run with a SpanRecorder attached."""
+    """One 4-device target spread run and its profile report."""
     n = 64
     rt = OpenMPRuntime(topology=cte_power_node(4, memory_bytes=1e9))
-    rec = SpanRecorder()
-    rt.tools.register(rec)
     A, B = np.arange(float(n)), np.zeros(n)
     vA, vB = Var("A", A), Var("B", B)
 
@@ -43,80 +41,70 @@ def recorded():
             maps=[Map.to(vA, (S, Z)), Map.from_(vB, (S, Z))])
 
     rt.run(program)
-    assert np.array_equal(B, 2.0 * A)  # the recording changed nothing
-    return rt, rec
+    assert np.array_equal(B, 2.0 * A)
+    return rt, ProfileReport(rt)
+
+
+def _spread_ids(rt):
+    return [did for did, info in sorted(rt.directive_info.items())
+            if info["kind"] == "target spread"]
 
 
 class TestContainment:
     def test_spread_directive_contains_chunk_tasks_contains_ops(self, recorded):
-        _, rec = recorded
-        spreads = rec.directive_spans(kind="target spread")
-        assert len(spreads) >= 1
-        directive = spreads[0]
-        tasks = [c for c in directive.children if c.kind == "task"]
-        assert len(tasks) == 4  # one chunk task per device
-        assert {t.device for t in tasks} == {0, 1, 2, 3}
-        for task in tasks:
-            assert directive.contains(task)
-            ops = [c for c in task.children if c.kind == "op"]
-            assert ops, f"chunk task on device {task.device} has no ops"
-            categories = {op.meta["category"] for op in ops}
-            assert "kernel" in categories
-            for op in ops:
-                assert task.contains(op)
-                assert op.parent_id == task.span_id
+        rt, report = recorded
+        did = _spread_ids(rt)[0]
+        d0, d1 = report.directive_windows[did]
+        chunks = {key: win for key, win in report.chunk_windows.items()
+                  if key[0] == did}
+        assert len(chunks) == 4  # one chunk per device
+        assert {d for _did, _chunk, d in chunks} == {0, 1, 2, 3}
+        for (_did, chunk, d), (c0, c1) in chunks.items():
+            assert d0 <= c0 and c1 <= d1
+            ops = [e for e in rt.trace.events
+                   if e.meta.get("directive") == did
+                   and e.meta.get("chunk") == chunk and e.device == d]
+            assert any(e.category == "kernel" for e in ops)
+            for e in ops:
+                assert c0 <= e.meta["issue"] and e.end <= c1
 
     def test_directive_interval_extended_over_nowait_chunks(self, recorded):
-        _, rec = recorded
-        directive = rec.directive_spans(kind="target spread")[0]
-        # one_buffer-style spreads run nowait: without interval extension
-        # the begin/end window would be (near) zero
-        assert directive.duration > 0
-
-    def test_finalize_is_idempotent(self, recorded):
-        _, rec = recorded
-        rec.finalize()
-        before = [(s.span_id, s.parent_id, len(s.children))
-                  for s in rec.directive_spans()]
-        rec.finalize()
-        after = [(s.span_id, s.parent_id, len(s.children))
-                 for s in rec.directive_spans()]
-        assert before == after
+        rt, report = recorded
+        d0, d1 = report.directive_windows[_spread_ids(rt)[0]]
+        # the window covers the fanned-out ops, not the encountering
+        # task's (near-zero) begin/end
+        assert d1 - d0 > 0
 
 
 class TestChromeExport:
     def test_merged_trace_parses_and_nests(self, recorded):
-        rt, rec = recorded
-        doc = json.loads(rt.trace.to_chrome_trace(
-            extra_records=rec.to_chrome_records()))
-        events = doc["traceEvents"]
+        _, report = recorded
+        events = json.loads(report.chrome_trace())["traceEvents"]
         span_events = [e for e in events
-                       if e["ph"] == "X" and e["pid"] == SpanRecorder.CHROME_PID]
+                       if e["ph"] == "X" and e["pid"] == CHROME_PID]
         raw_events = [e for e in events if e["ph"] == "X" and e["pid"] == 0]
         assert span_events and raw_events
-        by_id = {e["args"]["span_id"]: e for e in span_events}
-        # every child X record sits inside its parent's [ts, ts+dur]
-        linked = 0
-        for e in span_events:
-            parent = e["args"].get("parent")
-            if parent is None:
-                continue
-            p = by_id[parent]
+        directives = {e["args"]["directive"]: e for e in span_events
+                      if e["cat"] == "span:directive"}
+        chunks = [e for e in span_events if e["cat"] == "span:chunk"]
+        assert chunks
+        # every chunk record sits inside its directive's [ts, ts+dur]
+        for e in chunks:
+            p = directives[e["args"]["directive"]]
             assert p["ts"] <= e["ts"] + 1e-6
             assert e["ts"] + e["dur"] <= p["ts"] + p["dur"] + 1e-6
-            linked += 1
-        assert linked > 0
+        # ops live on the raw device lanes only
+        assert {e["cat"] for e in span_events} == {"span:directive",
+                                                   "span:chunk"}
 
     def test_span_lanes_are_named(self, recorded):
-        rt, rec = recorded
-        doc = json.loads(rt.trace.to_chrome_trace(
-            extra_records=rec.to_chrome_records()))
+        _, report = recorded
+        doc = json.loads(report.chrome_trace())
         meta = [e for e in doc["traceEvents"]
-                if e["ph"] == "M" and e["pid"] == SpanRecorder.CHROME_PID]
+                if e["ph"] == "M" and e["pid"] == CHROME_PID]
         names = {e["args"]["name"] for e in meta if e["name"] == "thread_name"}
-        assert "directives" in names
-        assert any(n.startswith("chunks@gpu") for n in names)
-        assert any(n.startswith("ops@gpu") for n in names)
+        assert names == {"directives", "chunks@gpu0", "chunks@gpu1",
+                         "chunks@gpu2", "chunks@gpu3"}
         assert any(e["name"] == "process_name" for e in meta)
 
 
@@ -129,17 +117,20 @@ class TestDataDirectiveSpans:
 
         n = 32
         rt = OpenMPRuntime(topology=cte_power_node(2, memory_bytes=1e9))
-        rec = SpanRecorder()
-        rt.tools.register(rec)
         vA = Var("A", np.arange(float(n)))
 
         def program(omp):
             yield from target_enter_data_spread(
                 omp, [0, 1], (0, n), None, [Map.to(vA, (S, Z))])
             yield from target_exit_data_spread(
-                omp, [0, 1], (0, n), None, [Map.delete(vA, (S, Z))])
+                omp, [0, 1], (0, n), None, [Map.from_(vA, (S, Z))])
 
         rt.run(program)
-        kinds = {s.name for s in rec.directive_spans()}
-        assert "target enter data spread" in kinds
-        assert "target exit data spread" in kinds
+        report = ProfileReport(rt)
+        kinds = {rt.directive_info[did]["kind"]
+                 for did in report.directive_windows}
+        assert kinds == {"target enter data spread",
+                         "target exit data spread"}
+        rows = {r["kind"]: r for r in report.per_directive_rows()}
+        assert rows["target enter data spread"]["chunks"] == 2
+        assert rows["target exit data spread"]["chunks"] == 2

@@ -1,9 +1,10 @@
 """Acceptance tests: registering tools must not perturb the simulation.
 
-The OMPT zero-cost contract, transposed to virtual time: a run with the
-full profiler attached must be *bit-identical* to the bare run — same
-elapsed virtual seconds, same results, same trace events — because tool
-callbacks are synchronous Python that never touches the simulator.
+The OMPT zero-cost contract, transposed to virtual time: a run with a
+tool registered on every callback point must be *bit-identical* to the
+bare run — same elapsed virtual seconds, same results, same trace events —
+because tool callbacks are synchronous Python that never touches the
+simulator.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ from repro.bench.machines import (
     paper_machine,
     paper_somier_config,
 )
-from repro.obs import Profiler
 from repro.somier import run_somier
+from tests.conftest import CallbackLog
 
 
 def _run(impl, gpus, tools=(), n=24):
@@ -33,11 +34,11 @@ def _event_tuples(trace):
 class TestBitIdentical:
     def test_profiled_run_matches_bare_run(self):
         bare = _run("one_buffer", 4)
-        prof = Profiler()
-        instrumented = _run("one_buffer", 4, tools=prof.tools)
-        # the tools actually observed the run...
+        log = CallbackLog()
+        instrumented = _run("one_buffer", 4, tools=(log,))
+        # the tool actually observed the run...
         assert instrumented.runtime.tools.dispatch_count > 0
-        assert prof.registry.counter_value("tasks_spawned") > 0
+        assert log.counts["task_create"] > 0
         # ...without changing a single bit of it
         assert instrumented.elapsed == bare.elapsed
         assert np.array_equal(instrumented.centers, bare.centers)
@@ -51,7 +52,7 @@ class TestBitIdentical:
         # the most schedule-sensitive implementation: overlap of compute
         # and transfer would expose any accidental simulator interaction
         bare = _run("double_buffering", 4, n=48)
-        instrumented = _run("double_buffering", 4, tools=Profiler().tools,
+        instrumented = _run("double_buffering", 4, tools=(CallbackLog(),),
                             n=48)
         assert instrumented.elapsed == bare.elapsed
         assert _event_tuples(instrumented.runtime.trace) == \

@@ -129,6 +129,21 @@ class TestDriver:
         with pytest.raises(OmpRuntimeError, match="unknown"):
             run_somier("triple_buffers", CFG, topology=topo(1))
 
+    @pytest.mark.parametrize("bad", [4, 9, -1])
+    def test_unknown_device_id_rejected_by_name(self, bad):
+        from repro.util.errors import OmpRuntimeError
+        with pytest.raises(OmpRuntimeError,
+                           match=rf"devices: device id {bad} out of range "
+                                 r"\(the machine has 4 devices\)"):
+            run_somier("one_buffer", CFG, devices=[0, bad],
+                       topology=topo(4))
+
+    def test_empty_device_list_rejected_by_name(self):
+        from repro.util.errors import OmpRuntimeError
+        with pytest.raises(OmpRuntimeError, match="devices: the device "
+                                                  "list is empty"):
+            run_somier("one_buffer", CFG, devices=[], topology=topo(4))
+
     def test_stats_populated(self):
         res = run_somier("one_buffer", CFG, devices=[0, 1], topology=topo(4))
         assert res.stats["h2d_bytes"] > 0

@@ -21,7 +21,6 @@ from repro.bench.machines import (
     paper_somier_config,
 )
 from repro.device.kernel import KernelSpec
-from repro.obs import MetricsTool
 from repro.openmp import Map, OpenMPRuntime, Var
 from repro.sim.timeline import TimelineProc
 from repro.sim.topology import cte_power_node
@@ -32,6 +31,7 @@ from repro.spread import (
     target_enter_data_spread,
     target_spread_teams_distribute_parallel_for,
 )
+from tests.conftest import CallbackLog
 
 
 @pytest.fixture(autouse=True)
@@ -120,7 +120,7 @@ DECISION_TABLE = [
     ("plain", dict, (330, 23430)),
     ("analyze", lambda: dict(analyze=True), (330, 0)),
     ("fused_timeline_off", lambda: dict(fused=False), (330, 0)),
-    ("tool", lambda: dict(tools=(MetricsTool(),)), (0, 0)),
+    ("tool", lambda: dict(tools=(CallbackLog(),)), (0, 0)),
     ("sanitizer", lambda: dict(sanitize=True), (0, 0)),
     # injector armed, no fault ever fires
     ("faults_armed", lambda: dict(faults="transfer:0.0"), (0, 0)),

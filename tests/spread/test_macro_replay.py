@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.device.kernel import KernelSpec
-from repro.obs import MetricsTool
 from repro.openmp import Map, OpenMPRuntime, Var
 from repro.openmp.depend import Dep
 from repro.sim.topology import cte_power_node
@@ -28,6 +27,7 @@ from repro.spread import (
     target_update_spread,
 )
 from repro.spread import macro
+from tests.conftest import CallbackLog
 
 S, Z = omp_spread_start, omp_spread_size
 N = 64
@@ -143,7 +143,7 @@ class TestBitIdentity:
         """Replay matches the object path, which a registered tool forces
         on every plan-cache hit."""
         rt_on, A, B_on, X_on = _composite_run()
-        rt_off, _, B_off, X_off = _composite_run(tools=(MetricsTool(),))
+        rt_off, _, B_off, X_off = _composite_run(tools=(CallbackLog(),))
         assert rt_on.plan_cache.macro_replays > 0
         assert rt_on.plan_cache.macro_compiles > 0
         assert rt_off.plan_cache.hits > 0
@@ -181,15 +181,14 @@ class TestObserverGating:
     observer."""
 
     def test_tools_disengage_macro(self):
-        tool_on, tool_off = MetricsTool(), MetricsTool()
+        tool_on, tool_off = CallbackLog(), CallbackLog()
         rt_on, _, B_on, X_on = _composite_run(tools=(tool_on,))
         rt_off, _, B_off, X_off = _composite_run(plan_cache=False,
                                                  tools=(tool_off,))
         assert rt_on.plan_cache.macro_replays == 0  # tools observe ops
         _assert_identical(rt_on, rt_off, (B_on, X_on), (B_off, X_off))
-        ra, rb = tool_on.registry, tool_off.registry
-        for key in ("tasks_created", "kernels_launched"):
-            assert ra.sum_counter(key) == rb.sum_counter(key)
+        for point in ("task_create", "kernel_launch", "data_op"):
+            assert tool_on.counts[point] == tool_off.counts[point] > 0
 
     def test_sanitizer_identity(self):
         rt_on, _, B_on, X_on = _composite_run(sanitize=True)

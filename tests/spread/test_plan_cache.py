@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.device.kernel import KernelSpec
-from repro.obs import MetricsTool
+from repro.obs import ProfileReport
 from repro.openmp import Map, OpenMPRuntime, Var
 from repro.openmp.depend import Dep
 from repro.sim.topology import cte_power_node
@@ -29,6 +29,7 @@ from repro.spread import (
 from repro.spread import extensions as ext
 from repro.spread import plan_cache as pc
 from repro.spread.plan_cache import SpreadPlanCache
+from tests.conftest import CallbackLog
 
 S, Z = omp_spread_start, omp_spread_size
 N = 64
@@ -248,27 +249,29 @@ class TestKeySensitivity:
 
 class TestMetricsWiring:
     def test_plan_cache_and_memo_counters(self):
-        tool = MetricsTool()
-        rt, _, _ = _composite_run(plan_cache=True, tools=(tool,))
-        reg = tool.registry
-        assert reg.sum_counter("plan_cache_hits") == rt.plan_cache.hits
-        assert reg.sum_counter("plan_cache_misses") == rt.plan_cache.misses
-        assert reg.counter_value("plan_cache_hits",
-                                 kind="target spread") == ITERS - 1
+        log = CallbackLog("plan_cache")
+        rt, _, _ = _composite_run(plan_cache=True, tools=(log,))
+        hits = log.of("plan_cache", hit=True)
+        assert len(hits) == rt.plan_cache.hits
+        assert len(log.of("plan_cache", hit=False)) == rt.plan_cache.misses
+        assert len([kw for kw in hits
+                    if kw["kind"] == "target spread"]) == ITERS - 1
         # the present-table memo fired on the repeated lookups
-        assert reg.sum_counter("present_memo_hits") > 0
+        assert log.counts["data_op"] > 0
         assert sum(env.memo_hits for env in rt.dataenvs) > 0
+        counters = ProfileReport(rt).counters()
+        assert (counters["plan_cache_hits"], counters["plan_cache_misses"]) \
+            == (rt.plan_cache.hits, rt.plan_cache.misses)
 
     def test_report_renders_plan_cache_totals(self):
-        from repro.obs import Profiler
-
-        prof = Profiler()
-        rt, _, _ = _composite_run(plan_cache=True, tools=prof.tools)
-        text = prof.report(makespan=rt.elapsed).render_text()
+        rt, _, _ = _composite_run(plan_cache=True)
+        report = ProfileReport(rt)
+        text = report.render_text()
         assert "plan cache:" in text
         assert f"{rt.plan_cache.hits:d} hits" in text
-        row = prof.report().per_device_rows()[0]
-        assert "memo_hits" in row
+        assert f"{rt.plan_cache.macro_replays:d} macro replays" in text
+        row = report.per_device_rows()[0]
+        assert row["memo_hits"] == rt.dataenvs[0].memo_hits
 
 
 class TestLossInvalidationPoisoning:

@@ -81,6 +81,23 @@ class TestSomier:
         assert rc == 0
         assert "[1, 0]" in capsys.readouterr().out
 
+    def test_unknown_device_id_is_clean_error(self, capsys):
+        rc = main(["somier", "--devices", "9", "--n-functional", "24",
+                   "--steps", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: devices: device id 9 out of range")
+        assert "4 devices" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--n-functional", "--steps"])
+    def test_zero_size_flag_is_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["somier", flag, "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= " in err
+        assert "Traceback" not in err
+
 
 class TestSomierProfiling:
     def test_profile_flag_prints_report(self, capsys):
@@ -118,7 +135,7 @@ class TestSomierProfiling:
                    "--metrics-json", str(path)])
         assert rc == 0
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-profile-1"
+        assert payload["schema"] == "repro-profile-2"
         assert payload["directives"] and payload["devices"]
 
 
@@ -147,15 +164,16 @@ class TestStats:
                    "--n-functional", "24", "--steps", "2", "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro-profile-1"
+        assert payload["schema"] == "repro-profile-2"
         assert payload["spans"]["directives"] > 0
+        assert payload["critpath"]["events"] > 0
 
     def test_full_adds_raw_catalogue(self, capsys):
         rc = main(["stats", "--impl", "target", "--gpus", "1",
                    "--n-functional", "24", "--steps", "1", "--full"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "bytes_moved{device=0,dir=h2d}" in out
+        assert "macro_replays" in out and "engine_fused_segments" in out
 
 
 class TestTables:
