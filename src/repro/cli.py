@@ -52,6 +52,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -647,29 +648,35 @@ def cmd_machine(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "somier": cmd_somier,
+    "stats": cmd_stats,
+    "analyze": cmd_analyze,
+    "table1": lambda args: cmd_table(args, 1),
+    "table2": lambda args: cmd_table(args, 2),
+    "listing3": cmd_listing3,
+    "check": cmd_check,
+    "lint": cmd_lint,
+    "lint-fuzz": cmd_lint_fuzz,
+    "machine": cmd_machine,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "somier":
-            return cmd_somier(args)
-        if args.command == "stats":
-            return cmd_stats(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "table1":
-            return cmd_table(args, 1)
-        if args.command == "table2":
-            return cmd_table(args, 2)
-        if args.command == "listing3":
-            return cmd_listing3(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "lint":
-            return cmd_lint(args)
-        if args.command == "lint-fuzz":
-            return cmd_lint_fuzz(args)
-        if args.command == "machine":
-            return cmd_machine(args)
+        rc = _COMMANDS[args.command](args)
+        # Flush here, so a reader that closed the pipe early surfaces below
+        # rather than in the interpreter's exit-time flush.
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader stopped reading (``repro analyze | head``); the run
+        # itself did not fail.  Point stdout at devnull so the exit-time
+        # flush cannot raise again, as the Python ``signal`` docs advise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except OmpError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -677,7 +684,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # e.g. an unwritable --trace-json/--metrics-json destination
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 2  # pragma: no cover - argparse enforces the choices
 
 
 if __name__ == "__main__":  # pragma: no cover

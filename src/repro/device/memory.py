@@ -10,12 +10,14 @@ Freed buffers are recycled per device: :meth:`DeviceAllocator.free` keeps
 the array on a free list keyed by ``(shape, dtype)`` and the next
 :meth:`DeviceAllocator.allocate` of that key takes it back before calling
 ``np.empty``.  A buffer's contents are undefined either way (``np.empty``
-semantics).  Reuse bounds a run's footprint: finished kernel walkers keep
-views of the buffers they ran on until the run ends, so without it every
-buffer a run ever mapped would stay resident, each on freshly faulted
-pages.  LLVM libomptarget's device memory manager keeps freed blocks for
-the same reason.  A lost device recycles nothing, because ops in flight
-may still write its purged storage (:meth:`DeviceAllocator.drop_spares`).
+semantics).  Reuse bounds a run's footprint: without it every buffer a
+run frees and maps again would land on freshly faulted pages.  LLVM
+libomptarget's device memory manager keeps freed blocks for the same
+reason.  Spare lists live only while the program runs:
+``OpenMPRuntime.run`` drops them once the program and its stragglers have
+drained, so a finished run holds only the buffers still mapped.  A lost
+device recycles nothing, because ops in flight may still write its
+purged storage (:meth:`DeviceAllocator.drop_spares`).
 """
 
 from __future__ import annotations

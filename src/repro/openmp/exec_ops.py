@@ -457,15 +457,12 @@ def _issue_copies(rt, dev, copies, h2d: bool, fuse: bool,
     # does); the staging path and the device queue serialize them, but the
     # next copy's staging pipelines with the current one's wire time.
     sim = dev.sim
-    if (_timeline.walkers_engaged(rt) and not dev.lost
-            and dev.network is None):
+    if _timeline.walkers_engaged(rt) and not dev.lost:
         # Fused-timeline copy walkers: the identical copy protocol (same
-        # resource claims, same timed segments, same trace records) with
-        # no generator frames — see repro.sim.timeline._CopyProc.  Any
-        # per-op observer keeps the generator sub-processes below.
-        # Devices behind an inter-node network link keep the generator
-        # path too: the walkers don't model the network hop, and
-        # bit-identity beats frame savings.
+        # resource claims, same timed segments, same trace records, the
+        # inter-node network hop included) with no generator frames — see
+        # repro.sim.timeline._CopyProc.  Any per-op observer, or a lost
+        # device, keeps the generator sub-processes below.
         cls = _timeline.CopyH2D if h2d else _timeline.CopyD2H
         prefix = label or "map"
         walkers = [cls.spawn(sim, dev, src, sk, dst, dk, f"{prefix}:{vname}")

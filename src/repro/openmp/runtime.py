@@ -445,6 +445,7 @@ class OpenMPRuntime:
         result = self.sim.run(until=main)
         # Drain stragglers (nowait tasks nobody joined).
         self.sim.run()
+        self._release_device_memory()
         self._raise_lost_failures()
         if self.sanitizer is not None and self.sanitizer.strict \
                 and self.sanitizer.reports:
@@ -452,6 +453,16 @@ class OpenMPRuntime:
 
             raise DataRaceError(self.sanitizer.summary())
         return result
+
+    def _release_device_memory(self) -> None:
+        """Let go of what only the finished run needed: the allocators'
+        spare buffers and the replay records' cached kernel views.  With
+        the walkers' own references dropped as they finish, a freed device
+        buffer is then unreachable, while counters, the trace, plan-cache
+        cells, the task list and live mappings stay for post-run readers."""
+        for dev in self.devices:
+            dev.allocator.drop_spares()
+        self.plan_cache.drop_resolutions()
 
     def _raise_lost_failures(self) -> None:
         unfinished = [p for p in self._tasks if not p.triggered]

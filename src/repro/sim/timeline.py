@@ -25,7 +25,13 @@ step in the same order at the same virtual times.  Traces and
 ``tests/spread`` enforces.  :func:`walkers_engaged` is the one place that
 decides whether walkers may run: walkers skip ``op_begin``/``op_end``,
 tool callbacks, fault checks and causal/sanitizer joins, so any observer
-of those keeps the generator path.
+of those keeps the generator path.  Copies on devices behind an
+inter-node network link walk too: the hop is one more acquire–hold–release
+phase (``tests/integration/test_cluster.py`` holds them bit-identical).
+
+A kernel walker drops its device views and present-table entries when its
+walk ends, so the finished walkers a run keeps in its task list pin no
+device memory.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ def walkers_engaged(rt) -> bool:
     The ``fused_timeline`` argument must be on and nothing may observe the
     per-op state walkers skip: no tools, no fault injector, no sanitizer
     join hook, no causal recorder and no causal join hook.  Callers add
-    their own per-device terms (copy walkers: the device is not lost and
-    has no network hop); replay itself is chosen by
+    their own per-device terms (copy walkers: the device is not lost);
+    replay itself is chosen by
     :func:`repro.spread.macro.engaged`.
     """
     sim = rt.sim
@@ -249,6 +255,7 @@ class TimelineProc(_Walker):
                 # Present table moved between submit and run: delegate to
                 # the generic op generator, exactly as the generator body
                 # does.
+                self.steady = self.waits = None
                 self.gen = self._fallback_gen()
                 Process._step(self, None, None)
                 return
@@ -321,6 +328,9 @@ class TimelineProc(_Walker):
                                          interval.as_slice(),
                                          clause.var.name))
                     to_release.append(entry)
+        # The walk is over: drop the views and entries, so a finished
+        # walker keeps no device buffer reachable.
+        self.kenv = self.held = self.env = self.steady = self.waits = None
         if copyback or to_release:
             self.gen = self._exit_tail(copyback, to_release)
             Process._step(self, None, None)
@@ -359,6 +369,10 @@ class TimelineProc(_Walker):
         self.fail(exc)
 
 
+#: trace meta of a copy that crossed no network link
+_NO_NET: dict = {}
+
+
 class _CopyProc(_Walker):
     """Base walker for one single-section, unfused memcpy.
 
@@ -368,13 +382,18 @@ class _CopyProc(_Walker):
     sanitizer, no tools.  Every resource request/release, every timed
     segment and the final trace record happen in the order and at the
     virtual times of ``Device._copy_h2d_batch``/``_copy_d2h_batch``, so
-    traces and ``virtual_s`` are bit-identical either way.
+    traces and ``virtual_s`` are bit-identical either way.  On a device
+    behind an inter-node network link the walk gains the hop of
+    ``Device._network_hop``: acquire the node's network, hold it for
+    ``latency + wire_time`` in one segment, release it and count
+    ``net_bytes`` (the request's ``owner`` stays None, as the generator's
+    does without a causal recorder).
     """
 
     __slots__ = ("dev", "src", "sk", "dst", "dk", "cost", "phase",
                  "_queue_req", "_staging_req", "_link_req", "_snaps",
                  "_issue_ts", "_ready_ts", "_cstart", "_wire_start",
-                 "_wire_end")
+                 "_wire_end", "_net_req", "net_cost", "net_meta")
 
     @classmethod
     def spawn(cls, sim, dev, src, sk, dst, dk, name: str) -> "_CopyProc":
@@ -418,12 +437,44 @@ class _CopyProc(_Walker):
         self._cstart = 0.0
         self._wire_start = 0.0
         self._wire_end = 0.0
+        self._net_req = None
+        self.net_cost = None
+        self.net_meta = _NO_NET
         sim._schedule_fn(self._start)
         return self
 
     def _wait(self, req) -> None:
         self._waiting_on = req
         req.add_callback(self._resume)
+
+    # -- the network hop (``Device._network_hop``) -------------------------
+
+    def _net_acquire(self, phase: int) -> None:
+        """Request the node's network link; wait for the grant in *phase*."""
+        dev = self.dev
+        self.net_cost = dev.cost_model.network_transfer(
+            dev.network_spec, self.src[self.sk].nbytes)
+        self.phase = phase
+        req = self._net_req = dev.network.request(tag=self.name)
+        self._wait(req)
+
+    def _net_hold(self) -> bool:
+        """Granted: latency and wire time as one segment (True if armed)."""
+        self.net_meta = {"net_start": self.sim.now}
+        cost = self.net_cost
+        total = cost.latency + cost.wire_time
+        if total > 0:
+            self._arm(total)
+            return True
+        return False
+
+    def _net_release(self) -> None:
+        dev = self.dev
+        self.net_meta["net_end"] = self.sim.now
+        self.net_meta["node"] = dev.node_id
+        dev.network.release(self._net_req)
+        self._net_req = None
+        dev.net_bytes += self.net_cost.bytes
 
 
 class CopyH2D(_CopyProc):
@@ -433,10 +484,14 @@ class CopyH2D(_CopyProc):
     0. cost + issue-time queue claim, per-call latency  (inert segment)
     1. staging acquire                                  (interaction)
     2. staging time                                     (inert segment)
-    3. snapshot + staging release, queue wait           (interaction)
-    4. link acquire                                     (interaction)
-    5. wire time                                        (inert segment)
-    6. link release, commit, queue release, trace
+    3. snapshot + staging release, network acquire      (interaction)
+    4. network hold                                     (inert segment)
+    5. network release, queue wait                      (interaction)
+    6. link acquire                                     (interaction)
+    7. wire time                                        (inert segment)
+    8. link release, commit, queue release, trace
+
+    Phase 3's network acquire and phase 4 run on networked devices only.
     """
 
     __slots__ = ()
@@ -483,8 +538,20 @@ class CopyH2D(_CopyProc):
                 self.fail(err)
                 return
             dev.staging.release(staging_req)
+            if dev.network is not None:
+                # Staged bytes travel root host -> this node first.
+                self._net_acquire(4)
+                return
+            phase = 5
+        if phase == 4:
+            self.phase = phase = 5
+            if self._net_hold():
+                return
+        if phase == 5:
+            if self._net_req is not None:
+                self._net_release()
             self._ready_ts = sim.now
-            self.phase = phase = 4
+            self.phase = phase = 6
             req = self._queue_req
             if not req._processed:
                 self._wait(req)
@@ -492,14 +559,14 @@ class CopyH2D(_CopyProc):
             # Queue slot already granted and delivered: continue
             # synchronously, exactly as ``gen.send`` does when a yielded
             # event is already processed.
-        if phase == 4:
+        if phase == 6:
             self._cstart = sim.now
-            self.phase = 5
+            self.phase = 7
             req = self._link_req = dev.link.request(tag=self.name)
             self._wait(req)
             return
-        if phase == 5:
-            self.phase = 6
+        if phase == 7:
+            self.phase = 8
             self._wire_start = sim.now
             wire = self.cost.wire_time
             if wire > 0:
@@ -527,22 +594,26 @@ class CopyH2D(_CopyProc):
                          issue=self._issue_ts, ready=self._ready_ts,
                          wire_start=self._wire_start,
                          wire_end=self._wire_end,
-                         fused=0, **_prov_meta(self))
+                         fused=0, **self.net_meta, **_prov_meta(self))
         self.trigger(None)
 
     def _abort(self, exc: BaseException) -> None:
         """Replicate the generator's try/finally unwinding per phase: the
-        staging try covers only the staging-time segment, the queue try
-        opens after the queue grant, the link finally inside it."""
+        staging try covers only the staging-time segment, the network
+        hop's only its hold, the queue try opens after the queue grant,
+        the link finally inside it."""
         dev = self.dev
         phase = self.phase
         if phase == 3 and self._staging_req is not None:
             dev.staging.release(self._staging_req)
             self._staging_req = None
-        elif phase == 5:
+        elif phase == 5 and self._net_req is not None:
+            dev.network.release(self._net_req)
+            self._net_req = None
+        elif phase == 7:
             dev.queue.release(self._queue_req)
             self._queue_req = None
-        elif phase == 6:
+        elif phase == 8:
             dev.link.release(self._link_req)
             self._link_req = None
             dev.queue.release(self._queue_req)
@@ -558,9 +629,13 @@ class CopyD2H(_CopyProc):
     1. queue wait                                       (interaction)
     2. link acquire                                     (interaction)
     3. wire time                                        (inert segment)
-    4. link release, snapshot, queue release, staging acquire (interaction)
-    5. trailing staging time                            (inert segment)
-    6. commit, staging release, trace
+    4. link release, snapshot, queue release, network acquire (interaction)
+    5. network hold                                     (inert segment)
+    6. network release, staging acquire                 (interaction)
+    7. trailing staging time                            (inert segment)
+    8. commit, staging release, trace
+
+    Phase 4's network acquire and phase 5 run on networked devices only.
     """
 
     __slots__ = ()
@@ -621,12 +696,24 @@ class CopyD2H(_CopyProc):
                 self.fail(err)
                 return
             dev.queue.release(queue_req)
-            self.phase = 5
+            if dev.network is not None:
+                # Drained bytes travel this node -> root host first.
+                self._net_acquire(5)
+                return
+            phase = 6
+        if phase == 5:
+            self.phase = phase = 6
+            if self._net_hold():
+                return
+        if phase == 6:
+            if self._net_req is not None:
+                self._net_release()
+            self.phase = 7
             req = self._staging_req = dev.staging.request(tag=self.name)
             self._wait(req)
             return
-        if phase == 5:
-            self.phase = phase = 6
+        if phase == 7:
+            self.phase = phase = 8
             tail = dev._staging_time(self.cost.bytes)
             if tail > 0:
                 self._arm(tail)
@@ -652,13 +739,15 @@ class CopyD2H(_CopyProc):
                          issue=self._issue_ts, ready=self._ready_ts,
                          wire_start=self._wire_start,
                          wire_end=self._wire_end,
-                         done=sim.now, fused=0, **_prov_meta(self))
+                         done=sim.now, fused=0, **self.net_meta,
+                         **_prov_meta(self))
         self.trigger(None)
 
     def _abort(self, exc: BaseException) -> None:
         """Per-phase unwinding mirror of ``_copy_d2h_batch``: the queue
         try opens after the queue grant and covers the link/wire/snapshot
-        span; the staging try covers only the trailing segment."""
+        span; the network hop's try covers only its hold; the staging try
+        covers only the trailing segment."""
         dev = self.dev
         phase = self.phase
         if phase == 3:
@@ -669,7 +758,10 @@ class CopyD2H(_CopyProc):
             self._link_req = None
             dev.queue.release(self._queue_req)
             self._queue_req = None
-        elif phase == 6 and self._staging_req is not None:
+        elif phase == 6 and self._net_req is not None:
+            dev.network.release(self._net_req)
+            self._net_req = None
+        elif phase == 8 and self._staging_req is not None:
             dev.staging.release(self._staging_req)
             self._staging_req = None
         self.fail(exc)

@@ -183,6 +183,15 @@ class SpreadPlanCache:
         self.invalidations += len(stale)
         return len(stale)
 
+    def drop_resolutions(self) -> None:
+        """Forget every compiled program's cached present-table resolution
+        (``MacroRecord.steady``), whose kernel views pin device buffers.
+        Cells, programs and counters stay; a later replay re-resolves."""
+        for _plan, prog in self._plans.values():
+            if prog:
+                for rec in prog.records:
+                    rec.steady = None
+
     def __len__(self) -> int:
         return len(self._plans)
 

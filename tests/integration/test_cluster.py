@@ -13,6 +13,7 @@ deterministically for a given spec + seed.
 import numpy as np
 import pytest
 
+from repro.bench.machines import machine_for_spec, paper_somier_config
 from repro.sim.topology import MACHINE_ENV, uniform_cluster
 from repro.somier import SomierConfig, run_somier
 from tests.conftest import CallbackLog
@@ -87,7 +88,59 @@ class TestClusterEndToEnd:
                    for d in res.devices)
 
 
+#: ``engine_fused_segments`` of one_buffer (n=48, 2 steps) per paper
+#: cluster shape, with every copy on a networked device walking.  Were
+#: those copies to fall back to generator processes, the counts would read
+#: 1,440, 1,140 and 840.
+NETWORKED_FUSED = {"cluster:2x2": 3040, "cluster:16x4": 9740,
+                   "cluster:64x4": 9840}
+
+
+def run_paper_cluster(spec, fused):
+    topology, cost_model = machine_for_spec(spec, n_functional=48)
+    return run_somier("one_buffer",
+                      paper_somier_config(n_functional=48, steps=2),
+                      topology=topology, cost_model=cost_model,
+                      fused_timeline=fused)
+
+
+def events_in_key_order(res):
+    return [(e.category, e.name, e.lane, e.start, e.end, e.device,
+             list(e.meta.items())) for e in res.runtime.trace.events]
+
+
 class TestClusterBitIdentity:
+    @pytest.mark.parametrize("spec", list(NETWORKED_FUSED))
+    def test_networked_copies_walk(self, spec, monkeypatch):
+        """Copies behind a network link run on the copy walkers and match
+        the generator path: every trace event with its meta in key order,
+        each device's ``net_bytes`` and each network's grant count."""
+        for var in ("REPRO_SANITIZE", "REPRO_ANALYZE"):
+            monkeypatch.delenv(var, raising=False)
+        walk = run_paper_cluster(spec, True)
+        gen = run_paper_cluster(spec, False)
+        assert walk.stats["engine_fused_segments"] == NETWORKED_FUSED[spec]
+        assert gen.stats["engine_fused_segments"] == 0
+        assert walk.elapsed == gen.elapsed
+        assert np.array_equal(walk.centers, gen.centers)
+        assert events_in_key_order(walk) == events_in_key_order(gen)
+        rt_w, rt_g = walk.runtime, gen.runtime
+        net_bytes = [dev.net_bytes for dev in rt_w.devices]
+        assert net_bytes == [dev.net_bytes for dev in rt_g.devices]
+        assert any(net_bytes)
+        grants = [net.grant_count for net in rt_w.networks
+                  if net is not None]
+        assert grants == [net.grant_count for net in rt_g.networks
+                          if net is not None]
+        assert any(grants)
+        hops = [list(e.meta) for e in rt_w.trace.events
+                if "net_start" in e.meta]
+        assert hops
+        for keys in hops:
+            at = keys.index("net_start")
+            assert keys[at - 1:at + 3] == ["fused", "net_start", "net_end",
+                                           "node"]
+
     def test_sanitizer_transparent_and_clean(self):
         base = run()
         sanitized = run(sanitize=True)

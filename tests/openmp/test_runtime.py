@@ -1,9 +1,23 @@
 """Unit tests for the OpenMPRuntime object."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
+from repro.bench.machines import (paper_devices, paper_machine,
+                                  paper_somier_config)
+from repro.device.kernel import KernelSpec
+from repro.device.memory import DeviceAllocator
+from repro.openmp import Map, Var
 from repro.openmp.runtime import OpenMPRuntime
+from repro.sim.timeline import TimelineProc
 from repro.sim.topology import cte_power_node, uniform_node
+from repro.somier.driver import run_somier
+from repro.spread import (omp_spread_size, omp_spread_start,
+                          target_enter_data_spread,
+                          target_spread_teams_distribute_parallel_for)
 from repro.util.errors import OmpDeviceError, OmpRuntimeError
 
 
@@ -97,3 +111,104 @@ class TestRun:
             assert rt.pending_device_ops() == []
 
         rt.run(program)
+
+
+@pytest.fixture
+def _walkers_on(monkeypatch):
+    """The CI legs' observers (faults, sanitizer, recorder) turn replay
+    and the walkers off; these tests need both engaged."""
+    for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
+                 "REPRO_ANALYZE", "REPRO_MACHINE"):
+        monkeypatch.delenv(knob, raising=False)
+
+
+def _somier():
+    topo, cm = paper_machine(4, n_functional=24)
+    return run_somier("one_buffer", paper_somier_config(n_functional=24,
+                                                        steps=2),
+                      devices=paper_devices(4), topology=topo,
+                      cost_model=cm)
+
+
+@pytest.mark.usefixtures("_walkers_on")
+class TestFinishedRunReleasesDeviceMemory:
+    """A finished run hands back the device memory it freed: no spare
+    buffers, no cached replay resolutions, no views on finished walkers.
+    What post-run readers use stays: counters, the trace, plan-cache
+    cells, the task list and live mappings."""
+
+    def test_no_spares_resolutions_or_walker_views(self):
+        rt = _somier().runtime
+        assert all(not dev.allocator._spares for dev in rt.devices)
+        progs = [cell[1] for cell in rt.plan_cache._plans.values()
+                 if cell[1]]
+        assert progs and rt.plan_cache.macro_replays > 0
+        assert all(rec.steady is None for prog in progs
+                   for rec in prog.records)
+        walkers = [p for p in rt._tasks if isinstance(p, TimelineProc)]
+        assert walkers and all(p.triggered for p in walkers)
+        assert all(p.kenv is None and p.held is None and p.steady is None
+                   for p in walkers)
+
+    def test_freed_buffer_dies_without_collection(self, monkeypatch):
+        """No ``gc.collect()``, and the result still held: the runtime
+        graph is cyclic (walkers and the task list refer to each other),
+        but no cycle reaches a freed buffer any more, so reference
+        counting frees it when ``run`` returns."""
+        freed = []
+        free = DeviceAllocator.free
+
+        def recording_free(self, alloc):
+            freed.append(weakref.ref(alloc.array))
+            free(self, alloc)
+
+        monkeypatch.setattr(DeviceAllocator, "free", recording_free)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            res = _somier()
+            assert freed
+            assert [ref for ref in freed if ref() is not None] == []
+            assert res.runtime.task_count > 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_data_mapped_at_program_end_stays_live(self):
+        S, Z = omp_spread_start, omp_spread_size
+        n, devices = 64, [0, 1, 2, 3]
+        rt = OpenMPRuntime(topology=cte_power_node(4, memory_bytes=1e9),
+                           trace_enabled=False)
+        host_a = np.arange(float(n))
+        vA, vB = Var("A", host_a), Var("B", np.zeros(n))
+
+        def body(lo, hi, env):
+            env["B"][lo:hi] = env["A"][lo:hi] * 2.0
+
+        kern = KernelSpec("double", body)
+
+        def program(omp):
+            yield from target_enter_data_spread(
+                omp, devices, (0, n), None,
+                [Map.to(vA, (S, Z)), Map.alloc(vB, (S, Z))])
+            for _ in range(3):
+                yield from target_spread_teams_distribute_parallel_for(
+                    omp, kern, 0, n, devices,
+                    maps=[Map.to(vA, (S, Z)), Map.from_(vB, (S, Z))])
+
+        rt.run(program)
+        assert rt.plan_cache.macro_replays > 0
+        assert rt.sim.fused_segments > 0
+        covered = 0
+        for d in devices:
+            entries = rt.dataenvs[d].entries_of(vB)
+            assert len(entries) == 1
+            entry = entries[0]
+            sec = entry.section
+            assert np.array_equal(entry.buffer[entry.local_slice(sec)],
+                                  2.0 * host_a[sec.start:sec.stop])
+            assert rt.devices[d].allocator.live_allocations == 2
+            covered += sec.stop - sec.start
+        assert covered == n
+        # B never left the devices: the host copy is untouched
+        assert not vB.array.any()

@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import io
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -143,6 +146,36 @@ class TestSomierProfiling:
         rc = main(["somier", "--impl", "one_buffer", "--gpus", "2",
                    "--n-functional", "24", "--steps", "1",
                    "--trace-json", "/nonexistent/dir/t.json"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away (``repro ... | head``)."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedStdout:
+    def test_broken_pipe_is_not_an_error(self, capsys, monkeypatch,
+                                          tmp_path):
+        with open(tmp_path / "stdout", "w") as real:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(real.fileno()))
+            rc = main(["analyze", "--gpus", "2", "--n-functional", "24",
+                       "--steps", "1"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    def test_unwritable_trace_json_is_still_an_error(self, capsys):
+        rc = main(["analyze", "--gpus", "2", "--n-functional", "24",
+                   "--steps", "1", "--trace-json", "/nonexistent/dir/t.json"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
