@@ -37,7 +37,7 @@ def run_schedule(schedule) -> float:
     rt = OpenMPRuntime(topology=uniform_node(
         2, device_specs=[FAST, SLOW], memory_bytes=1e9,
         link_bandwidth=1e12, staging_bandwidth=1e13),
-        trace_enabled=False)
+        trace=False)
     ext.enable(rt, schedules=True)
     A, B = np.arange(float(N)), np.zeros(N)
     vA, vB = Var("A", A), Var("B", B)

@@ -51,7 +51,7 @@ def run_level(devices, teams, threads, simd) -> float:
     rt = OpenMPRuntime(
         topology=uniform_node(4, device_specs=[SPEC] * 4,
                               link_bandwidth=1e12, staging_bandwidth=1e13),
-        cost_model=CostModel(), trace_enabled=False)
+        cost_model=CostModel(), trace=False)
     A, B = np.arange(float(N)), np.zeros(N)
     vA, vB = Var("A", A), Var("B", B)
 

@@ -32,7 +32,7 @@ SWEEPS = 50
 
 def _run(spread: bool) -> float:
     rt = OpenMPRuntime(topology=cte_power_node(1, memory_bytes=1e9),
-                       trace_enabled=False)
+                       trace=False)
     A, B = np.arange(float(N)), np.zeros(N)
     vA, vB = Var("A", A), Var("B", B)
     kern = KernelSpec("stencil", lambda lo, hi, env: None)

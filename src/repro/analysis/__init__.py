@@ -39,7 +39,6 @@ _EXPORTS = {
     "parse_program": "repro.analysis.program",
     "RaceReport": "repro.analysis.sanitizer",
     "RaceSanitizer": "repro.analysis.sanitizer",
-    "resolve_sanitize": "repro.analysis.sanitizer",
     "LintVerdict": "repro.analysis.symbolic",
     "lint_source_verdict": "repro.analysis.symbolic",
     "machine_cutoff": "repro.analysis.symbolic",

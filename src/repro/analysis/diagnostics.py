@@ -140,12 +140,3 @@ class Diagnostic:
             "length": self.length,
             "related": list(self.related),
         }
-
-
-def worst_severity(diagnostics) -> Optional[Severity]:
-    worst = None
-    for diag in diagnostics:
-        if diag.severity is Severity.ERROR:
-            return Severity.ERROR
-        worst = Severity.WARNING
-    return worst

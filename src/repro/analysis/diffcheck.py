@@ -156,7 +156,7 @@ def execute_source(source: str, shape: str) -> Tuple[int, Optional[str]]:
     if structural:
         return 0, f"structural: {structural[0].message}"
     rt = OpenMPRuntime(topology=parse_machine_spec(shape), sanitize="on",
-                       trace_enabled=False)
+                       trace=False)
     try:
         drive_program(rt, program)
     except Exception as exc:            # noqa: BLE001 - classify, don't die

@@ -45,48 +45,14 @@ unsanitized ones.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import AllOf, AnyOf, Event, Process
-from repro.util.errors import OmpRuntimeError
 from repro.util.intervals import Interval, IntervalSet
 
 #: one recorded host-array access: (var name, interval, is_write)
 Access = Tuple[str, Interval, bool]
-
-
-def resolve_sanitize(sanitize) -> Optional[str]:
-    """Normalize the ``sanitize`` runtime argument against REPRO_SANITIZE.
-
-    Returns ``None`` (off), ``"on"`` (record and report) or ``"strict"``
-    (also raise :class:`DataRaceError` at the end of the run).  A ``None``
-    argument consults the ``REPRO_SANITIZE`` environment variable, so test
-    suites can sanitize whole runs without touching call sites.
-    """
-    if sanitize is None:
-        env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
-        if env in ("", "0", "off", "false"):
-            return None
-        sanitize = env
-    if sanitize is False:
-        return None
-    if sanitize is True:
-        return "on"
-    if isinstance(sanitize, str):
-        mode = sanitize.strip().lower()
-        if mode in ("", "0", "off", "false"):
-            return None
-        if mode in ("1", "on", "true", "yes"):
-            return "on"
-        if mode == "strict":
-            return "strict"
-        raise OmpRuntimeError(
-            f"sanitize={sanitize!r}: expected one of True/False/'on'/"
-            "'strict'")
-    raise OmpRuntimeError(
-        f"sanitize={sanitize!r}: expected a bool, a mode string or None")
 
 
 def accesses_from_maps(concrete_maps, resident=()) -> List[Access]:

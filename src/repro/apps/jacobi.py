@@ -115,7 +115,7 @@ def run_jacobi(config: JacobiConfig,
             f"(available: {_STRATEGIES})")
     topo = topology if topology is not None else cte_power_node(4)
     rt = OpenMPRuntime(topology=topo, cost_model=cost_model,
-                       trace_enabled=trace)
+                       trace=trace)
     devs = list(devices) if devices is not None else list(range(topo.num_devices))
 
     n = config.n

@@ -95,7 +95,7 @@ def run_power_iteration(config: PowerIterationConfig,
     """Run the distributed power iteration; see the module docstring."""
     topo = topology if topology is not None else cte_power_node(4)
     rt = OpenMPRuntime(topology=topo, cost_model=cost_model,
-                       trace_enabled=trace)
+                       trace=trace)
     ext.enable(rt, reduction=True)
     devs = list(devices) if devices is not None else list(range(topo.num_devices))
 

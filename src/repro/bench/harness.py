@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench import machines
+from repro.openmp.options import RunOptions
 from repro.somier import run_somier
 from repro.somier.driver import SomierResult
 from repro.util.format import format_hms, format_table
@@ -39,12 +40,6 @@ class Experiment:
         return self.seconds / self.paper_seconds
 
     @property
-    def plan_cache_stats(self) -> Tuple[int, int]:
-        """(hits, misses) of the spread launch-plan cache for this run."""
-        return (int(self.result.stats.get("plan_cache_hits", 0)),
-                int(self.result.stats.get("plan_cache_misses", 0)))
-
-    @property
     def slackness(self) -> Optional[float]:
         if self.critpath is None:
             return None
@@ -71,20 +66,14 @@ def _critpath_info(result: SomierResult) -> Optional[Dict[str, object]]:
 
 
 def _run_one(impl: str, gpus: int, n_functional: int, steps: int,
-             data_depend: bool = False, fuse_transfers: bool = False,
-             trace: bool = False, plan_cache: bool = True,
-             analyze: bool = False) -> SomierResult:
+             trace: bool, analyze: bool) -> SomierResult:
     topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
     cfg = machines.paper_somier_config(n_functional=n_functional, steps=steps)
-    # plan_cache=False changes host-side lowering work only — the virtual
-    # timeline is bit-identical either way (tests assert this), and the
-    # causal recorder (analyze=True) only observes.
+    # The causal recorder (analyze=True) only observes; analyze=False
+    # leaves it to $REPRO_ANALYZE.
+    options = RunOptions.from_env(trace=trace, analyze=analyze or None)
     return run_somier(impl, cfg, devices=machines.paper_devices(gpus),
-                      topology=topo, cost_model=cm,
-                      data_depend=data_depend,
-                      fuse_transfers=fuse_transfers, trace=trace,
-                      plan_cache=plan_cache,
-                      analyze=analyze or None)
+                      topology=topo, cost_model=cm, options=options)
 
 
 def run_table1(n_functional: int = 96, steps: int = machines.PAPER_STEPS,

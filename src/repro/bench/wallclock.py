@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.bench import machines
 from repro.device.kernel import KernelSpec
-from repro.openmp import Map, OpenMPRuntime, Var
+from repro.openmp import Map, OpenMPRuntime, RunOptions, Var
 from repro.sim.topology import cte_power_node
 from repro.somier import run_somier
 from repro.spread import (
@@ -103,11 +103,12 @@ def _launch_arm(plan_cache: bool) -> Arm:
     must have replayed.
     """
     name = "cache_on" if plan_cache else "cache_off"
+    options = RunOptions.from_env(trace=False, plan_cache=plan_cache)
 
     def run(clock):
         rt = OpenMPRuntime(
             topology=cte_power_node(LAUNCH_DEVICES, memory_bytes=4e9),
-            trace_enabled=False, plan_cache=plan_cache)
+            options=options)
         devices = list(range(LAUNCH_DEVICES))
         n = LAUNCH_N
         vA, vB = Var("A", np.arange(float(n))), Var("B", np.zeros(n))
@@ -157,11 +158,14 @@ def _expect_paths(name: str, stats: Dict[str, Any], fused: bool) -> None:
 
 
 def _somier_arm(name: str, work: Dict[str, Any], fused: bool,
-                **kw: Any) -> Arm:
-    """A whole One Buffer Somier run; *kw* goes to :func:`run_somier`."""
+                **fields: Any) -> Arm:
+    """A whole One Buffer Somier run with the :class:`RunOptions`
+    *fields*."""
+    options = RunOptions.from_env(**fields)
+
     def run(clock):
         t0 = clock()
-        res = run_somier("one_buffer", **work, **kw)
+        res = run_somier("one_buffer", **work, options=options)
         seconds = clock() - t0
         _expect_paths(name, res.stats, fused)
         return seconds, res.elapsed
@@ -172,8 +176,10 @@ def _somier_arm(name: str, work: Dict[str, Any], fused: bool,
 def _report_arm(work: Dict[str, Any]) -> Arm:
     """The critical-path report of an ``analyze`` run; the run itself is
     off the clock."""
+    options = RunOptions.from_env(analyze=True)
+
     def run(clock):
-        res = run_somier("one_buffer", **work, trace=True, analyze=True)
+        res = run_somier("one_buffer", **work, options=options)
         _expect_paths("report", res.stats, False)
         t0 = clock()
         res.runtime.analysis().report()

@@ -57,10 +57,10 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.bench import harness, machines
-from repro.sim.topology import MACHINE_ENV
+from repro.openmp.options import RunOptions
+from repro.sim.topology import MACHINE_ENV, machine_env_spec
 from repro.somier import SomierState, run_reference, run_somier
 from repro.spread.schedule import StaticSchedule
-from repro.util import envknobs
 from repro.util.errors import OmpError, OmpRuntimeError
 from repro.util.format import format_hms, format_table
 
@@ -88,32 +88,27 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _resolve_machine(args):
-    """(topology, cost model, devices) for a run.
+def _resolve_machine(args, n_functional: int = 96):
+    """(topology, cost model, default devices) for ``--machine``/``--gpus``.
 
     ``--machine`` wins, then an explicit ``--gpus``, then
     ``$REPRO_MACHINE``, then the 4-GPU paper node.  With a machine spec
-    the devices clause defaults to every device in id order
-    (``--devices`` still overrides).
+    the devices clause defaults to every device in id order, else to the
+    paper's device order.
     """
-    spec = getattr(args, "machine", None)
+    spec, source = args.machine, "--machine"
     if spec is None and args.gpus is None:
-        spec = envknobs.env_raw(MACHINE_ENV)
+        spec, source = machine_env_spec(), MACHINE_ENV
     if spec is not None:
         try:
-            topo, cm = machines.machine_for_spec(
-                spec, n_functional=args.n_functional)
+            topo, cm = machines.machine_for_spec(spec,
+                                                 n_functional=n_functional)
         except ValueError as err:
-            raise OmpRuntimeError(str(err)) from err
-        devices = args.devices if args.devices else list(
-            range(topo.num_devices))
-    else:
-        gpus = args.gpus if args.gpus is not None else 4
-        topo, cm = machines.paper_machine(gpus,
-                                          n_functional=args.n_functional)
-        devices = (args.devices if args.devices
-                   else machines.paper_devices(gpus))
-    return topo, cm, devices
+            raise OmpRuntimeError(f"{source}: {err}") from err
+        return topo, cm, list(range(topo.num_devices))
+    gpus = args.gpus if args.gpus is not None else 4
+    topo, cm = machines.paper_machine(gpus, n_functional=n_functional)
+    return topo, cm, machines.paper_devices(gpus)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -150,16 +145,19 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                         "$REPRO_FAULT_SEED or 0)")
 
 
-def _run_args(args):
-    """(config, ``run_somier`` keywords) selected by the shared run flags."""
-    topo, cm, devices = _resolve_machine(args)
+def _run_args(args, **fields):
+    """(config, ``run_somier`` keywords) selected by the shared run flags;
+    *fields* are the command's own :class:`RunOptions` fields."""
+    topo, cm, devices = _resolve_machine(args, args.n_functional)
     cfg = machines.paper_somier_config(n_functional=args.n_functional,
                                        steps=args.steps)
-    return cfg, dict(devices=devices, topology=topo, cost_model=cm,
-                     data_depend=args.data_depend,
-                     fuse_transfers=args.fuse_transfers,
-                     plan_cache=not args.no_plan_cache,
-                     faults=args.faults, fault_seed=args.fault_seed)
+    options = RunOptions.from_env(
+        plan_cache=not args.no_plan_cache, faults=args.faults,
+        fault_seed=args.fault_seed,
+        sanitize=getattr(args, "sanitize", None), **fields)
+    return cfg, dict(devices=args.devices or devices, topology=topo,
+                     cost_model=cm, data_depend=args.data_depend,
+                     fuse_transfers=args.fuse_transfers, options=options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,13 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_somier(args) -> int:
     from repro.obs import ProfileReport
 
-    cfg, kw = _run_args(args)
-    devices = kw["devices"]
     profiling = bool(args.profile or args.trace_json or args.metrics_json)
-    res = run_somier(args.impl, cfg, **kw,
-                     trace=args.trace or profiling,
-                     sanitize=args.sanitize,
-                     analyze=args.analyze or None)
+    cfg, kw = _run_args(args, trace=args.trace or profiling,
+                        analyze=args.analyze or None)
+    devices = kw["devices"]
+    res = run_somier(args.impl, cfg, **kw)
     print(f"{args.impl} on {len(devices)} device(s) {devices}: "
           f"{format_hms(res.elapsed)} virtual")
     print(f"plan: {res.plan.num_buffers} buffer(s) x "
@@ -350,12 +346,15 @@ def cmd_somier(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    """Profile an analyzed run: the causal recorder (for the ``critpath``
+    block) turns the walkers off, so this is the decision table's
+    ``analyze`` row, with 0 fused segments.  ``repro somier --profile`` or
+    ``--metrics-json`` profile the plain run."""
     from repro.obs import ProfileReport
 
-    cfg, kw = _run_args(args)
+    cfg, kw = _run_args(args, analyze=True)
     devices = kw["devices"]
-    res = run_somier(args.impl, cfg, **kw, sanitize=args.sanitize,
-                     analyze=True)
+    res = run_somier(args.impl, cfg, **kw)
     analysis = res.runtime.analysis()
     report = ProfileReport(res.runtime, critpath=analysis.headline())
     if args.json:
@@ -379,9 +378,9 @@ def cmd_stats(args) -> int:
 def cmd_analyze(args) -> int:
     from repro.obs import ProfileReport
 
-    cfg, kw = _run_args(args)
+    cfg, kw = _run_args(args, analyze=True)
     devices = kw["devices"]
-    res = run_somier(args.impl, cfg, **kw, analyze=True)
+    res = run_somier(args.impl, cfg, **kw)
     analysis = res.runtime.analysis()
     if args.trace_json:
         # span lanes (pid 1) + causal flow arrows, like somier --trace-json
@@ -479,7 +478,7 @@ def cmd_lint(args) -> int:
     from repro.analysis.program import parse_program
     from repro.analysis.symbolic import lint_source_verdict
 
-    machine = args.machine or envknobs.env_raw(MACHINE_ENV)
+    machine = args.machine or machine_env_spec()
     if machine is not None:
         try:
             lint_machine_for(machine)
@@ -600,17 +599,7 @@ def cmd_lint_fuzz(args) -> int:
 def cmd_machine(args) -> int:
     from repro.util.format import format_bytes
 
-    spec = args.machine
-    if spec is None and args.gpus is None:
-        spec = envknobs.env_raw(MACHINE_ENV)
-    if spec is not None:
-        try:
-            topo, cm = machines.machine_for_spec(spec)
-        except ValueError as err:
-            raise OmpRuntimeError(str(err)) from err
-    else:
-        topo, cm = machines.paper_machine(
-            args.gpus if args.gpus is not None else 4)
+    topo, cm, _ = _resolve_machine(args)
     if getattr(topo, "num_nodes", 1) > 1:
         net = topo.network_spec
         print(f"cluster of {topo.num_nodes} node(s), "

@@ -52,13 +52,6 @@ class KernelSpec:
     work_per_iter: float = 1.0
     scalars: Dict[str, Any] = field(default_factory=dict)
 
-    def with_scalars(self, **scalars: Any) -> "KernelSpec":
-        """A copy of the spec with extra firstprivate scalars."""
-        merged = dict(self.scalars)
-        merged.update(scalars)
-        return KernelSpec(name=self.name, body=self.body,
-                          work_per_iter=self.work_per_iter, scalars=merged)
-
     def run(self, lo: int, hi: int, env: Mapping[str, Any]) -> None:
         """Execute the body functionally (called at simulated completion)."""
         merged: Dict[str, Any] = dict(self.scalars)

@@ -4,6 +4,8 @@ This package reproduces the pieces of libomp/libomptarget the paper's
 evaluation depends on:
 
 * :mod:`repro.openmp.runtime` — the runtime object (ICVs, devices, run loop);
+* :mod:`repro.openmp.options` — :class:`RunOptions`, the runtime's run
+  knobs, validated once and filled from the environment;
 * :mod:`repro.openmp.tasks` — explicit tasks, ``taskwait``, ``taskgroup``,
   ``taskloop``;
 * :mod:`repro.openmp.depend` — data-based dependence resolution for the
@@ -25,6 +27,7 @@ from repro.openmp.mapping import Var, MapType, MapClause, Map, concretize_sectio
 from repro.openmp.dataenv import DeviceDataEnv, MappedEntry
 from repro.openmp.depend import DependTracker, Dep
 from repro.openmp.tasks import TaskCtx, Taskgroup
+from repro.openmp.options import RunOptions
 from repro.openmp.runtime import OpenMPRuntime
 from repro.openmp.target import (
     target,
@@ -48,6 +51,7 @@ __all__ = [
     "TaskCtx",
     "Taskgroup",
     "OpenMPRuntime",
+    "RunOptions",
     "target",
     "target_teams_distribute_parallel_for",
     "target_data",

@@ -19,77 +19,23 @@ Typical use::
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Generator, List, Optional, Union
+import dataclasses
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.device.device import Device
 from repro.obs.tool import FAULT_EVENT, ToolRegistry
 from repro.openmp.dataenv import DeviceDataEnv
 from repro.openmp.depend import DependTracker
+from repro.openmp.options import RunOptions, resolve_topology
 from repro.openmp.tasks import TaskCtx
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Process, Simulator
-from repro.sim.faults import FaultInjector, FaultRule, RetryPolicy
+from repro.sim.faults import FaultInjector
 from repro.sim.resources import Resource
-from repro.sim.topology import NodeTopology, cte_power_node, machine_from_env
+from repro.sim.topology import NodeTopology
 from repro.sim.trace import Trace
 from repro.spread.plan_cache import SpreadPlanCache
-from repro.util import envknobs
 from repro.util.errors import OmpDeviceError, OmpRuntimeError
-
-
-def resolve_analyze(analyze: Optional[bool]) -> bool:
-    """Normalize the ``analyze`` knob.
-
-    ``None`` consults the ``REPRO_ANALYZE`` environment variable (so CI can
-    run the whole suite with causal-edge recording on), defaulting to off.
-    """
-    if analyze is None:
-        try:
-            return envknobs.env_flag("REPRO_ANALYZE", default=False)
-        except ValueError as err:
-            raise OmpRuntimeError(str(err))
-    return bool(analyze)
-
-
-#: types accepted by the ``faults`` knob
-FaultsSpec = Union[None, str, FaultInjector, "list[FaultRule]",
-                   "tuple[FaultRule, ...]"]
-
-
-def resolve_faults(faults: FaultsSpec,
-                   fault_seed: Optional[int]) -> Optional[FaultInjector]:
-    """Normalize the ``faults`` knob to a :class:`FaultInjector` (or None).
-
-    ``None`` consults the ``REPRO_FAULTS`` environment variable (so CI can
-    run the whole suite with a low-rate spec), with ``REPRO_FAULT_SEED``
-    supplying the seed when ``fault_seed`` is not given; an empty/unset
-    variable disables injection.  A string is parsed with the
-    :func:`repro.sim.faults.parse_fault_spec` grammar; a ready-made
-    injector passes through; a rule sequence is wrapped.
-    """
-    if fault_seed is None:
-        try:
-            fault_seed = envknobs.env_int("REPRO_FAULT_SEED", default=0)
-        except ValueError as err:
-            raise OmpRuntimeError(str(err))
-    if not isinstance(fault_seed, int) or isinstance(fault_seed, bool):
-        raise OmpRuntimeError(
-            f"fault_seed must be an integer, got {fault_seed!r}")
-    source = "faults"
-    if faults is None:
-        faults = envknobs.env_raw("REPRO_FAULTS")
-        if faults is None:
-            return None
-        source = "REPRO_FAULTS"
-    if isinstance(faults, FaultInjector):
-        return faults
-    try:
-        if isinstance(faults, str):
-            return FaultInjector.from_spec(faults, seed=fault_seed)
-        return FaultInjector(tuple(faults), seed=fault_seed)
-    except (ValueError, TypeError) as err:
-        raise OmpRuntimeError(f"invalid {source} spec: {err}")
 
 
 class OpenMPRuntime:
@@ -97,24 +43,23 @@ class OpenMPRuntime:
 
     def __init__(self, topology: Optional[NodeTopology] = None,
                  cost_model: Optional[CostModel] = None,
-                 trace_enabled: bool = True,
-                 taskgroup_global_drain: bool = True,
-                 plan_cache: bool = True,
-                 fused_timeline: bool = True,
-                 faults: FaultsSpec = None,
-                 fault_seed: Optional[int] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 sanitize=None,
-                 analyze: Optional[bool] = None):
-        if topology is None:
-            try:
-                topology = machine_from_env()
-            except ValueError as err:
-                raise OmpRuntimeError(str(err))
-        self.topology = topology if topology is not None else cte_power_node(4)
+                 options: Optional[RunOptions] = None, **fields: Any):
+        """Run with *options*, else :meth:`RunOptions.from_env` of the
+        keyword *fields*; *fields* given with *options* override it."""
+        if "trace_enabled" in fields:
+            fields["trace"] = fields.pop("trace_enabled")
+        if options is None:
+            options = RunOptions.from_env(**fields)
+        elif not isinstance(options, RunOptions):
+            raise OmpRuntimeError(
+                f"options={options!r}: expected a RunOptions")
+        elif fields:
+            options = dataclasses.replace(options, **fields)
+        self.options = options
+        self.topology = resolve_topology(topology)
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.sim = Simulator()
-        self.trace = Trace(enabled=trace_enabled)
+        self.trace = Trace(enabled=options.trace)
         #: OMPT-style tool registry; empty (and falsy) until a tool
         #: registers, so instrumented code paths stay zero-cost by default
         self.tools = ToolRegistry(runtime=self)
@@ -167,27 +112,24 @@ class OpenMPRuntime:
             DeviceDataEnv(dev) for dev in self.devices
         ]
         self.depend = DependTracker()
-        #: spread launch-plan cache (replay of repeated directives);
-        #: ``plan_cache=False`` (CLI ``--no-plan-cache``) forces every
-        #: directive down the full lowering path.
-        self.plan_cache = SpreadPlanCache(enabled=plan_cache)
+        #: spread launch-plan cache (replay of repeated directives)
+        self.plan_cache = SpreadPlanCache(enabled=options.plan_cache)
         #: fused-timeline engine (repro.sim.timeline): macro-replayed
         #: steady-state kernel chunks and section copies execute as
         #: precomputed virtual-time walkers instead of generator processes
         #: whenever nothing observes per-op state (see
-        #: :func:`repro.sim.timeline.walkers_engaged`).  ``False`` keeps
-        #: them on the generator path — the baseline the wall-clock
-        #: bench's ablation arms measure against.
-        self.fused_timeline = bool(fused_timeline)
-        #: deterministic fault source shared by all devices (or None);
-        #: ``faults``/``fault_seed`` default to $REPRO_FAULTS and
-        #: $REPRO_FAULT_SEED (see :mod:`repro.sim.faults` for the grammar)
-        self.fault_injector = resolve_faults(faults, fault_seed)
+        #: :func:`repro.sim.timeline.walkers_engaged`).
+        self.fused_timeline = options.fused_timeline
+        #: deterministic fault source shared by all devices (or None); a
+        #: fresh one per runtime, so runtimes never share RNG state
+        self.fault_injector = (
+            FaultInjector.from_spec(options.faults, seed=options.fault_seed)
+            if options.faults is not None else None)
         for dev in self.devices:
             dev.fault_injector = self.fault_injector
         #: transient faults (transfer/kernel) are retried per this policy,
         #: with the backoff charged to virtual time
-        self.retry_policy = retry if retry is not None else RetryPolicy()
+        self.retry_policy = options.retry
         self._lost_devices: set = set()
         self._lost_nodes: set = set()
         # resilience counters mirrored into SomierResult.stats
@@ -197,21 +139,17 @@ class OpenMPRuntime:
         #: reproduce the paper's taskgroup behaviour: closing a taskgroup
         #: that contains device operations drains *all* devices ("a barrier
         #: that synchronizes all devices", Discussion section).
-        self.taskgroup_global_drain = taskgroup_global_drain
-        #: interval race sanitizer (repro.analysis.sanitizer) or None;
-        #: ``sanitize`` defaults to $REPRO_SANITIZE ("1"/"on"/"strict").
+        self.taskgroup_global_drain = options.taskgroup_global_drain
+        #: interval race sanitizer (repro.analysis.sanitizer) or None.
         #: Lazily imported so unsanitized runs never load the analysis
         #: package.
         self.sanitizer = None
-        if sanitize is not None or os.environ.get("REPRO_SANITIZE"):
-            from repro.analysis.sanitizer import (RaceSanitizer,
-                                                  resolve_sanitize)
+        if options.sanitize is not None:
+            from repro.analysis.sanitizer import RaceSanitizer
 
-            mode = resolve_sanitize(sanitize)
-            if mode is not None:
-                self.sanitizer = RaceSanitizer(rt=self,
-                                               strict=mode == "strict")
-                self.sanitizer.install(self.sim)
+            self.sanitizer = RaceSanitizer(
+                rt=self, strict=options.sanitize == "strict")
+            self.sanitizer.install(self.sim)
         #: directive ids are allocated here — always, tools or not — so
         #: trace provenance and the critical-path analyzer see the same
         #: ids the tool registry dispatches.
@@ -220,21 +158,13 @@ class OpenMPRuntime:
         # interned {"kind":…, "name":…} dicts — warm launches allocate a
         # directive id per call, and the info payload repeats endlessly
         self._info_memo: dict = {}
-        #: causal recorder (repro.obs.critpath) or None; ``analyze``
-        #: defaults to $REPRO_ANALYZE.  Recording needs the trace for op
-        #: binding: explicitly asking for analysis without a trace is an
-        #: error, while env-driven analysis silently skips untraced runs.
+        #: causal recorder (repro.obs.critpath) or None
         self.causal = None
-        if resolve_analyze(analyze):
-            if not trace_enabled:
-                if analyze is not None:
-                    raise OmpRuntimeError(
-                        "analyze=True requires trace_enabled=True")
-            else:
-                from repro.obs.critpath import CausalRecorder
+        if options.analyze:
+            from repro.obs.critpath import CausalRecorder
 
-                self.causal = CausalRecorder()
-                self.causal.install(self.sim)
+            self.causal = CausalRecorder()
+            self.causal.install(self.sim)
         self._tasks: List[Process] = []
         self._device_ops: List[Process] = []
         self._ran = False
@@ -295,9 +225,6 @@ class OpenMPRuntime:
     @property
     def lost_nodes(self) -> "frozenset[int]":
         return frozenset(self._lost_nodes)
-
-    def is_node_lost(self, node_id: int) -> bool:
-        return node_id in self._lost_nodes
 
     def mark_node_lost(self, node_id: int, op: str = "",
                        name: str = "") -> None:

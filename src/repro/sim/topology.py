@@ -457,13 +457,8 @@ def parse_machine_spec(spec: str, **cluster_kwargs):
         "or 'gpus:N'")
 
 
-def machine_from_env():
-    """The :data:`MACHINE_ENV` topology, or ``None`` when unset.
-
-    A malformed value raises :class:`ValueError` (uniform with the other
-    ``REPRO_*`` knobs — see :mod:`repro.util.envknobs`).
-    """
-    spec = envknobs.env_raw(MACHINE_ENV)
-    if spec is None:
-        return None
-    return parse_machine_spec(spec)
+def machine_env_spec() -> Optional[str]:
+    """The :data:`MACHINE_ENV` spec, or ``None`` when unset or empty: the
+    one reader of the variable (see
+    :func:`repro.openmp.options.resolve_topology`)."""
+    return envknobs.env_raw(MACHINE_ENV)

@@ -18,7 +18,6 @@ as an energy jump).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -69,7 +68,3 @@ def potential_energy(state: SomierState) -> float:
 def energy(state: SomierState) -> EnergyReport:
     return EnergyReport(kinetic=kinetic_energy(state),
                         potential=potential_energy(state))
-
-
-def energy_history(states: List[SomierState]) -> List[EnergyReport]:
-    return [energy(s) for s in states]

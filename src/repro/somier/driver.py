@@ -10,14 +10,15 @@ statistics the benchmarks report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.obs.tool import Tool
+from repro.openmp.options import RunOptions, resolve_topology
 from repro.openmp.runtime import OpenMPRuntime
 from repro.sim.costmodel import CostModel
-from repro.sim.topology import NodeTopology, cte_power_node, machine_from_env
+from repro.sim.topology import NodeTopology
 from repro.somier import impl_common as common
 from repro.somier import (
     impl_double_buffering,
@@ -66,57 +67,27 @@ def run_somier(impl: str, config: SomierConfig,
                fill: float = 0.85,
                fuse_transfers: bool = False,
                data_depend: bool = False,
-               taskgroup_global_drain: bool = True,
-               trace: bool = True,
-               plan_cache: bool = True,
-               fused_timeline: bool = True,
-               faults: Optional[str] = None,
-               fault_seed: Optional[int] = None,
-               sanitize=None,
-               analyze: Optional[bool] = None,
-               tools: Sequence[Tool] = ()) -> SomierResult:
+               options: Optional[RunOptions] = None,
+               tools: Sequence[Tool] = (),
+               **fields: Any) -> SomierResult:
     """Run one Somier experiment; see the module docstring.
 
     ``devices`` defaults to every device of the topology, in id order; the
-    ``target`` baseline requires exactly one.  ``topology=None`` consults
-    ``REPRO_MACHINE`` (e.g. ``cluster:4x4`` — see
-    :func:`repro.sim.topology.parse_machine_spec`) before falling back to
-    the paper's four-GPU CTE-POWER node; on cluster topologies the spread
-    implementations distribute hierarchically (nodes, then GPUs).  ``fill`` bounds how much of
-    a device's (virtual) memory a resident chunk may use.
-    ``taskgroup_global_drain=False`` switches the runtime to spec-pure
-    taskgroups (members only) instead of the paper's all-device barrier —
-    the counterfactual the global-drain ablation benchmark measures.
-    ``tools`` are observability tools registered with the runtime before
-    the program starts (any registered tool puts warm launches on the
-    object path).  ``plan_cache=False`` (CLI
-    ``--no-plan-cache``) disables spread launch-plan replay.
-    ``fused_timeline=False`` keeps macro replay but runs every chunk as a
-    generator process instead of a fused timeline walker — see
-    :mod:`repro.sim.timeline`.
-    ``faults``/``fault_seed`` (CLI ``--faults``/``--fault-seed``) enable
-    seeded fault injection; None consults ``REPRO_FAULTS`` and
-    ``REPRO_FAULT_SEED`` — see :mod:`repro.sim.faults`.
-    ``sanitize`` (CLI ``--sanitize``) enables the interval race sanitizer;
-    None consults ``REPRO_SANITIZE`` — see :mod:`repro.analysis.sanitizer`.
-    ``analyze`` (CLI ``--analyze`` / ``repro analyze``) attaches the causal
-    recorder for critical-path analysis; None consults ``REPRO_ANALYZE``.
-    Explicit ``analyze=True`` implies tracing; env-armed analysis respects
-    ``trace=False`` and silently skips recording.  Results and traces are
-    identical either way — see :mod:`repro.obs.critpath`.
+    ``target`` baseline requires exactly one.  ``topology=None`` resolves
+    as in :func:`repro.openmp.options.resolve_topology`; on cluster
+    topologies the spread implementations distribute hierarchically
+    (nodes, then GPUs).  ``fill`` bounds how much of a device's (virtual)
+    memory a resident chunk may use.  ``tools`` are observability tools
+    registered with the runtime before the program starts (any registered
+    tool puts warm launches on the object path).  ``options`` and the
+    keyword ``fields`` go to :class:`~repro.openmp.runtime.OpenMPRuntime`
+    as they are — see :class:`~repro.openmp.options.RunOptions`.
     """
     if impl not in IMPLEMENTATIONS:
         raise OmpRuntimeError(
             f"unknown Somier implementation {impl!r} "
             f"(available: {sorted(IMPLEMENTATIONS)})")
-    topo = topology
-    if topo is None:
-        try:
-            topo = machine_from_env()
-        except ValueError as err:
-            raise OmpRuntimeError(str(err)) from err
-    if topo is None:
-        topo = cte_power_node(4)
+    topo = resolve_topology(topology)
     devs = list(devices) if devices is not None else list(range(topo.num_devices))
     if not devs:
         raise OmpRuntimeError("devices: the device list is empty")
@@ -126,11 +97,7 @@ def run_somier(impl: str, config: SomierConfig,
                 f"devices: device id {d} out of range (the machine has "
                 f"{topo.num_devices} devices)")
     rt = OpenMPRuntime(topology=topo, cost_model=cost_model,
-                       trace_enabled=trace or analyze is True,
-                       taskgroup_global_drain=taskgroup_global_drain,
-                       plan_cache=plan_cache, fused_timeline=fused_timeline,
-                       faults=faults, fault_seed=fault_seed,
-                       sanitize=sanitize, analyze=analyze)
+                       options=options, **fields)
     for tool in tools:
         rt.tools.register(tool)
     if data_depend:

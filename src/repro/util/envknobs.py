@@ -1,7 +1,7 @@
 """Uniform parsing for the ``REPRO_*`` environment knobs.
 
 Every runtime toggle that can come from the environment goes through the
-two helpers below, so empty strings, junk values and out-of-range numbers
+helpers below, so empty strings, junk values and out-of-range numbers
 fail the same way everywhere: a :class:`ValueError` whose message names
 the variable and the offending value.  Callers that surface knob errors
 as :class:`~repro.util.errors.OmpRuntimeError` wrap the ValueError at the
@@ -19,7 +19,7 @@ Conventions shared by all knobs:
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Tuple
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
@@ -35,22 +35,27 @@ def env_raw(name: str) -> Optional[str]:
 
 
 def env_flag(name: str, default: bool = False) -> bool:
-    """Parse a boolean knob: 1/0, true/false, yes/no, on/off.
-
-    Raises :class:`ValueError` on anything else — a junk value must not
-    silently count as "enabled" (or "disabled").
-    """
+    """Parse a boolean knob with :func:`parse_flag`."""
     raw = env_raw(name)
-    if raw is None:
-        return default
-    val = raw.lower()
+    return default if raw is None else parse_flag(name, raw)
+
+
+def parse_flag(name: str, raw: str, extra: Tuple[str, ...] = ()):
+    """Parse a boolean value (1/0, true/false, yes/no, on/off) or one of
+    the knob's own *extra* modes, returned lowercased.  Anything else
+    raises :class:`ValueError` naming *name*: junk must not silently
+    count as "enabled" (or "disabled")."""
+    val = raw.strip().lower()
     if val in _TRUE:
         return True
     if val in _FALSE:
         return False
+    if val in extra:
+        return val
     raise ValueError(
         f"{name}={raw!r}: expected a boolean "
-        f"(one of 1/0, true/false, yes/no, on/off)")
+        f"(one of 1/0, true/false, yes/no, on/off"
+        f"{''.join('/' + mode for mode in extra)})")
 
 
 def env_int(name: str, default: Optional[int] = None,

@@ -1,4 +1,5 @@
-"""Unit tests for the sanitizer's footprint helpers and residency table."""
+"""Unit tests for the sanitize option, the sanitizer's footprint helpers
+and its residency table."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from repro.analysis.sanitizer import (
     RaceSanitizer,
     accesses_from_maps,
-    resolve_sanitize,
     standalone_accesses,
 )
 from repro.openmp.mapping import Map, Var
+from repro.openmp.options import RunOptions
 from repro.util.errors import OmpRuntimeError
 from repro.util.intervals import Interval
 
@@ -29,21 +30,25 @@ class TestResolveSanitize:
         ("off", None), ("strict", "strict"), ("", None),
     ])
     def test_explicit_argument(self, arg, expected):
-        assert resolve_sanitize(arg) == expected
+        assert RunOptions(sanitize=arg).sanitize == expected
 
     def test_none_consults_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert resolve_sanitize(None) is None
+        assert RunOptions.from_env().sanitize is None
         monkeypatch.setenv("REPRO_SANITIZE", "strict")
-        assert resolve_sanitize(None) == "strict"
+        assert RunOptions.from_env().sanitize == "strict"
         monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert resolve_sanitize(None) is None
+        assert RunOptions.from_env().sanitize is None
+        monkeypatch.setenv("REPRO_SANITIZE", "no")
+        assert RunOptions.from_env().sanitize is None
+        monkeypatch.setenv("REPRO_SANITIZE", "yes")
+        assert RunOptions.from_env().sanitize == "on"
 
     def test_garbage_rejected(self):
         with pytest.raises(OmpRuntimeError, match="sanitize"):
-            resolve_sanitize("later")
+            RunOptions(sanitize="later")
         with pytest.raises(OmpRuntimeError, match="sanitize"):
-            resolve_sanitize(3.5)
+            RunOptions(sanitize=3.5)
 
 
 class TestAccessesFromMaps:

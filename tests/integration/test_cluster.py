@@ -111,12 +111,11 @@ def events_in_key_order(res):
 
 class TestClusterBitIdentity:
     @pytest.mark.parametrize("spec", list(NETWORKED_FUSED))
-    def test_networked_copies_walk(self, spec, monkeypatch):
+    @pytest.mark.usefixtures("plain_env")
+    def test_networked_copies_walk(self, spec):
         """Copies behind a network link run on the copy walkers and match
         the generator path: every trace event with its meta in key order,
         each device's ``net_bytes`` and each network's grant count."""
-        for var in ("REPRO_SANITIZE", "REPRO_ANALYZE"):
-            monkeypatch.delenv(var, raising=False)
         walk = run_paper_cluster(spec, True)
         gen = run_paper_cluster(spec, False)
         assert walk.stats["engine_fused_segments"] == NETWORKED_FUSED[spec]

@@ -307,17 +307,16 @@ class TestRecorderSurface:
             res.runtime.analysis()
 
     def test_explicit_analyze_implies_tracing(self):
-        # driver level: an explicit opt-in promotes trace_enabled
+        # driver level: an explicit opt-in turns tracing on
         res = run(analyze=True, trace=False)
         assert res.runtime.trace.events
         assert res.runtime.causal is not None
 
-    def test_explicit_analyze_without_trace_rejected(self):
-        # runtime level: an explicit opt-in without a trace is a user error
+    def test_explicit_analyze_without_trace_traces_at_runtime_level(self):
+        # the runtime applies the same RunOptions rule as the driver
         from repro.openmp.runtime import OpenMPRuntime
-        with pytest.raises(OmpRuntimeError, match="trace"):
-            OpenMPRuntime(topology=topo(), trace_enabled=False,
-                          analyze=True)
+        rt = OpenMPRuntime(topology=topo(), trace=False, analyze=True)
+        assert rt.trace.enabled and rt.causal is not None
 
     def test_env_analyze_without_trace_silently_skips(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYZE", "1")

@@ -10,7 +10,7 @@ from repro.bench.machines import (paper_devices, paper_machine,
                                   paper_somier_config)
 from repro.device.kernel import KernelSpec
 from repro.device.memory import DeviceAllocator
-from repro.openmp import Map, Var
+from repro.openmp import Map, RunOptions, Var
 from repro.openmp.runtime import OpenMPRuntime
 from repro.sim.timeline import TimelineProc
 from repro.sim.topology import cte_power_node, uniform_node
@@ -113,15 +113,6 @@ class TestRun:
         rt.run(program)
 
 
-@pytest.fixture
-def _walkers_on(monkeypatch):
-    """The CI legs' observers (faults, sanitizer, recorder) turn replay
-    and the walkers off; these tests need both engaged."""
-    for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
-                 "REPRO_ANALYZE", "REPRO_MACHINE"):
-        monkeypatch.delenv(knob, raising=False)
-
-
 def _somier():
     topo, cm = paper_machine(4, n_functional=24)
     return run_somier("one_buffer", paper_somier_config(n_functional=24,
@@ -130,7 +121,48 @@ def _somier():
                       cost_model=cm)
 
 
-@pytest.mark.usefixtures("_walkers_on")
+@pytest.mark.usefixtures("plain_env")
+class TestKnobContract:
+    """A bad knob raises OmpRuntimeError naming its field (or variable),
+    through the runtime and the driver."""
+
+    @pytest.mark.parametrize("field,junk", [
+        ("trace", "yes"), ("taskgroup_global_drain", None),
+        ("plan_cache", "no"), ("fused_timeline", "off"),
+        ("faults", "warp:0.1"), ("fault_seed", "7"), ("retry", "x"),
+        ("sanitize", "later"), ("analyze", "no")])
+    def test_junk_field_names_itself(self, field, junk):
+        with pytest.raises(OmpRuntimeError, match=field):
+            OpenMPRuntime(**{field: junk})
+        with pytest.raises(OmpRuntimeError, match=field):
+            run_somier("one_buffer", paper_somier_config(24, 1),
+                       **{field: junk})
+
+    @pytest.mark.parametrize("var,junk", [
+        ("REPRO_FAULTS", "warp:0.1"), ("REPRO_FAULT_SEED", "seven"),
+        ("REPRO_SANITIZE", "later"), ("REPRO_ANALYZE", "maybe"),
+        ("REPRO_MACHINE", "rack:3")])
+    def test_junk_variable_names_itself(self, monkeypatch, var, junk):
+        monkeypatch.setenv(var, junk)
+        with pytest.raises(OmpRuntimeError, match=var):
+            OpenMPRuntime()
+
+    def test_trace_enabled_spelling_and_unknown_keywords(self):
+        assert not OpenMPRuntime(trace_enabled=False).trace.enabled
+        with pytest.raises(OmpRuntimeError, match="trace"):
+            OpenMPRuntime(trace_enabled="yes")
+        with pytest.raises(TypeError, match="plan_cashe"):
+            run_somier("one_buffer", paper_somier_config(24, 1),
+                       plan_cashe=False)
+
+    def test_keywords_override_options(self):
+        rt = OpenMPRuntime(options=RunOptions(plan_cache=False), trace=False)
+        assert rt.options == RunOptions(plan_cache=False, trace=False)
+        with pytest.raises(OmpRuntimeError, match="options"):
+            OpenMPRuntime(options={"trace": False})
+
+
+@pytest.mark.usefixtures("plain_env")
 class TestFinishedRunReleasesDeviceMemory:
     """A finished run hands back the device memory it freed: no spare
     buffers, no cached replay resolutions, no views on finished walkers.
@@ -178,7 +210,7 @@ class TestFinishedRunReleasesDeviceMemory:
         S, Z = omp_spread_start, omp_spread_size
         n, devices = 64, [0, 1, 2, 3]
         rt = OpenMPRuntime(topology=cte_power_node(4, memory_bytes=1e9),
-                           trace_enabled=False)
+                           trace=False)
         host_a = np.arange(float(n))
         vA, vB = Var("A", host_a), Var("B", np.zeros(n))
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.openmp.options import resolve_topology
 from repro.sim.costmodel import CostModel
 from repro.sim.topology import (
     MACHINE_ENV,
@@ -12,11 +13,11 @@ from repro.sim.topology import (
     NetworkLinkSpec,
     NodeTopology,
     cte_power_node,
-    machine_from_env,
     parse_machine_spec,
     uniform_cluster,
     uniform_node,
 )
+from repro.util.errors import OmpRuntimeError
 
 
 class TestSpecValidation:
@@ -157,17 +158,17 @@ class TestMachineSpec:
 
     def test_env_unset(self, monkeypatch):
         monkeypatch.delenv(MACHINE_ENV, raising=False)
-        assert machine_from_env() is None
+        assert resolve_topology() == cte_power_node(4)
 
     def test_env_set(self, monkeypatch):
         monkeypatch.setenv(MACHINE_ENV, "cluster:2x3")
-        topo = machine_from_env()
+        topo = resolve_topology()
         assert topo.num_nodes == 2 and topo.num_devices == 6
 
     def test_env_junk(self, monkeypatch):
         monkeypatch.setenv(MACHINE_ENV, "nonsense")
-        with pytest.raises(ValueError):
-            machine_from_env()
+        with pytest.raises(OmpRuntimeError, match=MACHINE_ENV):
+            resolve_topology()
 
 
 class TestNetworkTransferCost:

@@ -34,16 +34,7 @@ from repro.spread import (
 from tests.conftest import CallbackLog
 
 
-@pytest.fixture(autouse=True)
-def _hermetic_knob_env(monkeypatch):
-    """The engagement assertions (``fused_segments > 0``) require the
-    walkers to actually engage, which any globally armed observation
-    fallback disables by design — the CI env-matrix legs (``REPRO_FAULTS``,
-    ``REPRO_SANITIZE``, ``REPRO_ANALYZE``) must not leak in.  Each
-    fallback is covered explicitly below, armed per run."""
-    for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
-                 "REPRO_ANALYZE"):
-        monkeypatch.delenv(knob, raising=False)
+pytestmark = pytest.mark.usefixtures("plain_env")
 
 
 def _event_tuples(trace):
@@ -160,7 +151,7 @@ class TestWalkerErrors:
         S, Z = omp_spread_start, omp_spread_size
         n, devices, warm = 64, [0, 1, 2, 3], 3
         rt = OpenMPRuntime(topology=cte_power_node(4, memory_bytes=1e9),
-                           trace_enabled=False)
+                           trace=False)
         vA, vB = Var("A", np.arange(float(n))), Var("B", np.zeros(n))
         state = {"fail": False}
         failed_on, surfaced = [], []

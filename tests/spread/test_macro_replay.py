@@ -35,21 +35,12 @@ DEVICES = [0, 1, 2, 3]
 ITERS = 5
 
 
-@pytest.fixture(autouse=True)
-def _hermetic_knob_env(monkeypatch):
-    """Macro replay disengages whenever a fault injector, sanitizer or
-    analyzer is armed (by design), so the engagement/counter assertions
-    here require the CI env-matrix legs (``REPRO_FAULTS``,
-    ``REPRO_SANITIZE``, ``REPRO_ANALYZE``) not to leak in; the scenarios
-    that want those hooks arm them explicitly."""
-    for knob in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
-                 "REPRO_ANALYZE"):
-        monkeypatch.delenv(knob, raising=False)
+pytestmark = pytest.mark.usefixtures("plain_env")
 
 
 def make_rt(**kw):
     kw.setdefault("topology", cte_power_node(4, memory_bytes=1e9))
-    kw.setdefault("trace_enabled", True)
+    kw.setdefault("trace", True)
     return OpenMPRuntime(**kw)
 
 

@@ -39,7 +39,7 @@ ITERS = 6
 
 def make_rt(plan_cache=True, trace=True):
     return OpenMPRuntime(topology=cte_power_node(4, memory_bytes=1e9),
-                         trace_enabled=trace, plan_cache=plan_cache)
+                         trace=trace, plan_cache=plan_cache)
 
 
 def double_kernel():

@@ -201,6 +201,20 @@ class TestStats:
         assert payload["spans"]["directives"] > 0
         assert payload["critpath"]["events"] > 0
 
+    @pytest.mark.usefixtures("plain_env")
+    def test_stats_profiles_the_analyze_path(self, capsys, tmp_path):
+        """``stats`` always records causal edges, which turn the walkers
+        off; ``somier --metrics-json`` profiles the plain run."""
+        import json
+
+        flags = ["--gpus", "2", "--n-functional", "24", "--steps", "2"]
+        assert main(["stats", *flags, "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        path = tmp_path / "plain.json"
+        assert main(["somier", *flags, "--metrics-json", str(path)]) == 0
+        assert stats["engine"]["fused_segments"] == 0
+        assert json.loads(path.read_text())["engine"]["fused_segments"] > 0
+
     def test_full_adds_raw_catalogue(self, capsys):
         rc = main(["stats", "--impl", "target", "--gpus", "1",
                    "--n-functional", "24", "--steps", "1", "--full"])
