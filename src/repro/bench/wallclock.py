@@ -8,25 +8,22 @@ host) to the next.  Every ratio goes through :func:`paired`, which times
 both arms with process CPU time, alternates which arm runs first, and
 keeps every per-pair value with their median and quartiles.
 
-Five ratios, each a median over pairs:
+Three ratios, each a median over pairs:
 
 * ``warm_launch_speedup`` — warm ``nowait`` spread launches against
   pre-mapped buffers, launch-plan cache off over on (CI gate ≥ 5).  A
   ``nowait`` static spread never yields, so the timed batches are pure
   host lowering; the taskwaits that drain the devices are off the clock.
-* ``fused_e2e_speedup`` — a small Somier run, ``fused_timeline=False``
-  over the default walker path (CI gate ≥ 1.0).
-* ``recording_overhead`` — the ``analyze`` run over a traced run on the
-  same generator path, minus one: the cost of causal recording alone,
-  since the recorder disengages the walkers (CI gate ≤ 0.25).
-* ``analyze_vs_default`` — the ``analyze`` run over the default traced
-  run, minus one: what ``--analyze`` costs a user.
+* ``recording_overhead`` — a small Somier ``analyze`` run over the default
+  traced run, minus one.  Both arms replay on the walkers, so this is the
+  cost of causal recording alone, and what ``--analyze`` costs a user
+  (CI gate ≤ 0.25).
 * ``report_vs_run`` — ``CritPathAnalysis.report()`` of one ``analyze``
   run over another ``analyze`` run of the same program (the paired arm).
 
-Every pair checks that its arms took the paths the ratio compares (see
-:func:`paired` and the arm factories) and raises ``RuntimeError`` naming
-the arm otherwise.  :func:`run_wallclock` measures all five and stamps
+Every pair checks that its arms took the fast path (see :func:`paired`
+and the arm factories) and raises ``RuntimeError`` naming the arm
+otherwise.  :func:`run_wallclock` measures all three and stamps
 the host; ``benchmarks/bench_wallclock.py`` persists the result to
 ``BENCH_wallclock.json`` and applies :func:`failed_gates`.
 """
@@ -146,19 +143,16 @@ def _launch_arm(plan_cache: bool) -> Arm:
     return name, run
 
 
-def _expect_paths(name: str, stats: Dict[str, Any], fused: bool) -> None:
-    """Raise unless a Somier arm replayed and took the walker path iff
-    *fused*: a ratio between two runs of the same path measures nothing."""
+def _expect_paths(name: str, stats: Dict[str, Any]) -> None:
+    """Raise unless a Somier arm replayed on the walkers: an arm that fell
+    back to the object path would time that path instead."""
     if stats["macro_replays"] == 0:
         raise RuntimeError(f"arm {name} took no macro replay")
-    segments = stats["engine_fused_segments"]
-    if (segments > 0) != fused:
-        raise RuntimeError(f"arm {name} ran {segments} fused segments; "
-                           f"expected {'some' if fused else 'none'}")
+    if stats["engine_fused_segments"] == 0:
+        raise RuntimeError(f"arm {name} ran 0 fused segments")
 
 
-def _somier_arm(name: str, work: Dict[str, Any], fused: bool,
-                **fields: Any) -> Arm:
+def _somier_arm(name: str, work: Dict[str, Any], **fields: Any) -> Arm:
     """A whole One Buffer Somier run with the :class:`RunOptions`
     *fields*."""
     options = RunOptions.from_env(**fields)
@@ -167,7 +161,7 @@ def _somier_arm(name: str, work: Dict[str, Any], fused: bool,
         t0 = clock()
         res = run_somier("one_buffer", **work, options=options)
         seconds = clock() - t0
-        _expect_paths(name, res.stats, fused)
+        _expect_paths(name, res.stats)
         return seconds, res.elapsed
 
     return name, run
@@ -180,7 +174,7 @@ def _report_arm(work: Dict[str, Any]) -> Arm:
 
     def run(clock):
         res = run_somier("one_buffer", **work, options=options)
-        _expect_paths("report", res.stats, False)
+        _expect_paths("report", res.stats)
         t0 = clock()
         res.runtime.analysis().report()
         return clock() - t0, res.elapsed
@@ -200,7 +194,7 @@ def host_metadata() -> Dict[str, Any]:
 
 def run_wallclock(n_functional: int = 24, steps: int = 12, pairs: int = 10,
                   timestamp: Optional[str] = None) -> Dict[str, Any]:
-    """All five ratios over *pairs* pairs each, stamped with the host.
+    """All three ratios over *pairs* pairs each, stamped with the host.
 
     The Somier arms run One Buffer on the paper's four-GPU node at
     *n_functional* for *steps* timesteps.
@@ -211,9 +205,9 @@ def run_wallclock(n_functional: int = 24, steps: int = 12, pairs: int = 10,
                 n_functional=n_functional, steps=steps),
             "devices": machines.paper_devices(gpus),
             "topology": topo, "cost_model": cm}
-    analyze = _somier_arm("analyze", work, False, trace=True, analyze=True)
+    analyze = _somier_arm("analyze", work, trace=True, analyze=True)
     return {
-        "schema": "repro-wallclock-8",
+        "schema": "repro-wallclock-9",
         "timestamp": timestamp,
         "host": host_metadata(),
         "clock": "process_time",
@@ -222,20 +216,9 @@ def run_wallclock(n_functional: int = 24, steps: int = 12, pairs: int = 10,
         "steps": steps,
         "warm_launch_speedup": paired(
             _launch_arm(False), _launch_arm(True), pairs),
-        "fused_e2e_speedup": paired(
-            _somier_arm("generators", work, False, trace=False,
-                        analyze=False, fused_timeline=False),
-            _somier_arm("fused", work, True, trace=False, analyze=False),
-            pairs),
         "recording_overhead": paired(
             analyze,
-            _somier_arm("traced_generators", work, False, trace=True,
-                        analyze=False, fused_timeline=False),
-            pairs, overhead=True),
-        "analyze_vs_default": paired(
-            analyze,
-            _somier_arm("traced_default", work, True, trace=True,
-                        analyze=False),
+            _somier_arm("traced_default", work, trace=True, analyze=False),
             pairs, overhead=True),
         "report_vs_run": paired(_report_arm(work), analyze, pairs),
     }

@@ -346,10 +346,9 @@ def cmd_somier(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """Profile an analyzed run: the causal recorder (for the ``critpath``
-    block) turns the walkers off, so this is the decision table's
-    ``analyze`` row, with 0 fused segments.  ``repro somier --profile`` or
-    ``--metrics-json`` profile the plain run."""
+    """Profile an analyzed run: the causal recorder feeds the ``critpath``
+    block.  Recording does not change the path, so the run replays on the
+    walkers as the plain ``repro somier --metrics-json`` run does."""
     from repro.obs import ProfileReport
 
     cfg, kw = _run_args(args, analyze=True)

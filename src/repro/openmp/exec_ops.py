@@ -459,10 +459,11 @@ def _issue_copies(rt, dev, copies, h2d: bool, fuse: bool,
     sim = dev.sim
     if _timeline.walkers_engaged(rt) and not dev.lost:
         # Fused-timeline copy walkers: the identical copy protocol (same
-        # resource claims, same timed segments, same trace records, the
-        # inter-node network hop included) with no generator frames — see
-        # repro.sim.timeline._CopyProc.  Any per-op observer, or a lost
-        # device, keeps the generator sub-processes below.
+        # resource claims, same timed segments, same trace records and
+        # causal-recorder calls, the inter-node network hop included) with
+        # no generator frames — see repro.sim.timeline._CopyProc.  A tool,
+        # the sanitizer, a fault injector or a lost device keeps the
+        # generator sub-processes below.
         cls = _timeline.CopyH2D if h2d else _timeline.CopyD2H
         prefix = label or "map"
         walkers = [cls.spawn(sim, dev, src, sk, dst, dk, f"{prefix}:{vname}")

@@ -15,23 +15,22 @@ from repro.sim.topology import (MACHINE_ENV, NodeTopology, cte_power_node,
 from repro.util import envknobs
 from repro.util.errors import OmpRuntimeError
 
-_FLAGS = ("trace", "taskgroup_global_drain", "plan_cache", "fused_timeline",
-          "analyze")
+_FLAGS = ("trace", "taskgroup_global_drain", "plan_cache", "analyze")
 
 
 @dataclass(frozen=True)
 class RunOptions:
-    """The nine run knobs; a bad value raises :class:`OmpRuntimeError`
+    """The eight run knobs; a bad value raises :class:`OmpRuntimeError`
     naming the field.
 
     ``trace`` records the virtual-time trace (``OpenMPRuntime`` also takes
     it as ``trace_enabled``, the spelling of the frozen host benchmark in
     ``benchmarks/host/workloads.py``).  ``taskgroup_global_drain=False``
     gives spec-pure taskgroups instead of the paper's all-device barrier;
-    ``plan_cache=False`` lowers every spread directive in full;
-    ``fused_timeline=False`` runs replayed chunks as generator processes
-    instead of timeline walkers.  ``faults`` is a fault spec
-    (:mod:`repro.sim.faults`) or ``None``, ``fault_seed`` its seed, and
+    ``plan_cache=False`` lowers every spread directive in full.
+    ``faults`` is a fault spec (:mod:`repro.sim.faults`) or ``None`` (a
+    spec with no rules, such as ``""`` or ``","``, is ``None``: it would
+    inject nothing), ``fault_seed`` its seed, and
     ``retry`` the :class:`~repro.sim.faults.RetryPolicy` for transient
     faults.  ``sanitize`` is ``None``, ``"on"`` or ``"strict"`` (a race
     fails the run); bools and the words of
@@ -43,7 +42,6 @@ class RunOptions:
     trace: bool = True
     taskgroup_global_drain: bool = True
     plan_cache: bool = True
-    fused_timeline: bool = True
     faults: Optional[str] = None
     fault_seed: int = 0
     retry: RetryPolicy = RetryPolicy()
@@ -55,8 +53,9 @@ class RunOptions:
             if not isinstance(getattr(self, name), bool):
                 raise OmpRuntimeError(f"{name}={getattr(self, name)!r}: "
                                       "expected True or False")
-        if self.faults is not None:
-            _check_faults(self.faults, "faults")
+        if self.faults is not None and not _check_faults(self.faults,
+                                                          "faults"):
+            object.__setattr__(self, "faults", None)
         if type(self.fault_seed) is not int:
             raise OmpRuntimeError(
                 f"fault_seed={self.fault_seed!r}: expected an integer")
@@ -114,11 +113,12 @@ def _parse(read: Callable, name: str, **kw):
         raise OmpRuntimeError(str(err)) from err
 
 
-def _check_faults(spec, name: str) -> None:
+def _check_faults(spec, name: str):
+    """The rules of the fault *spec*; a bad spec raises naming *name*."""
     if not isinstance(spec, str):
         raise OmpRuntimeError(f"{name}={spec!r}: expected a spec string")
     try:
-        parse_fault_spec(spec)
+        return parse_fault_spec(spec)
     except ValueError as err:
         raise OmpRuntimeError(f"invalid {name} spec: {err}") from err
 

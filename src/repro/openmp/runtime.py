@@ -114,12 +114,6 @@ class OpenMPRuntime:
         self.depend = DependTracker()
         #: spread launch-plan cache (replay of repeated directives)
         self.plan_cache = SpreadPlanCache(enabled=options.plan_cache)
-        #: fused-timeline engine (repro.sim.timeline): macro-replayed
-        #: steady-state kernel chunks and section copies execute as
-        #: precomputed virtual-time walkers instead of generator processes
-        #: whenever nothing observes per-op state (see
-        #: :func:`repro.sim.timeline.walkers_engaged`).
-        self.fused_timeline = options.fused_timeline
         #: deterministic fault source shared by all devices (or None); a
         #: fresh one per runtime, so runtimes never share RNG state
         self.fault_injector = (

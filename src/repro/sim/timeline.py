@@ -22,10 +22,12 @@ exactly one queue entry per original Timeout boundary, and performs every
 resource request/release, refcount move, trace record and exit-protocol
 step in the same order at the same virtual times.  Traces and
 ``virtual_s`` are therefore identical on either path, which
-``tests/spread`` enforces.  :func:`walkers_engaged` is the one place that
-decides whether walkers may run: walkers skip ``op_begin``/``op_end``,
-tool callbacks, fault checks and causal/sanitizer joins, so any observer
-of those keeps the generator path.  Copies on devices behind an
+``tests/spread`` enforces.  Walkers report to the causal recorder at the
+generator bodies' points (``op_begin``, request owners, ``op_end``, joins),
+so an analysed run walks as a plain one does.  :func:`walkers_engaged` is
+the one place that decides whether walkers may run: walkers skip tool
+callbacks, fault checks and sanitizer joins, so a tool, a fault injector
+or the sanitizer keeps the generator path.  Copies on devices behind an
 inter-node network link walk too: the hop is one more acquire–hold–release
 phase (``tests/integration/test_cluster.py`` holds them bit-identical).
 
@@ -46,17 +48,13 @@ from repro.sim.engine import Process
 def walkers_engaged(rt) -> bool:
     """True when timeline walkers may stand in for generator processes.
 
-    The ``fused_timeline`` argument must be on and nothing may observe the
-    per-op state walkers skip: no tools, no fault injector, no sanitizer
-    join hook, no causal recorder and no causal join hook.  Callers add
-    their own per-device terms (copy walkers: the device is not lost);
-    replay itself is chosen by
-    :func:`repro.spread.macro.engaged`.
+    Nothing may observe or perturb the per-op steps walkers skip: no
+    tools, no fault injector and no sanitizer.  Callers add their own
+    terms: macro replay (:func:`repro.spread.macro.engaged`) no lost
+    device, the copy site this device not lost.
     """
-    sim = rt.sim
-    return (rt.fused_timeline and not rt.tools
-            and rt.fault_injector is None and sim.san_hook is None
-            and sim.recorder is None and sim.cp_hook is None)
+    return (not rt.tools and rt.fault_injector is None
+            and rt.sanitizer is None)
 
 
 class Timeline:
@@ -120,10 +118,12 @@ class _Walker(Process):
     call standing in for the Timeout the generator path would create, at
     the same calendar-queue position.  Subclasses may switch ``self.gen``
     to a real generator at any phase boundary and continue through
-    ``Process._step`` (fallback/exit tails).
+    ``Process._step`` (fallback/exit tails).  ``op`` is the walk's causal
+    recorder op id (None without a recorder), the owner of every resource
+    request it makes.
     """
 
-    __slots__ = ()
+    __slots__ = ("op",)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if self.gen is not None:
@@ -146,13 +146,24 @@ class _Walker(Process):
         sim.fused_segments += 1
         sim._schedule_fn(self._on_tick, delay)
 
+    def _begin_op(self) -> None:
+        """``op_begin`` where the generator body calls it."""
+        recorder = self.sim.recorder
+        self.op = recorder.op_begin(self) if recorder is not None else None
+
+    def _end_op(self, event_index: Optional[int]) -> None:
+        """``op_end`` right after the op's trace record."""
+        recorder = self.sim.recorder
+        if recorder is not None:
+            recorder.op_end(self.op, self, event_index)
+
 
 class TimelineProc(_Walker):
     """A kernel-chunk process that walks a precomputed timeline.
 
-    Replicates ``macro._fast_kernel_body`` + ``Device.launch_kernel`` for
-    the engaged steady state (no tools, no sanitizer, no faults, no
-    recorder) phase by phase:
+    Runs a replayed chunk whose maps are all present, phase by phase as
+    ``kernel_op`` (its all-present case) and ``Device.launch_kernel`` would
+    on a generator process:
 
     0. host task overhead           (inert segment)
     1. AllOf join over waits        (interaction: event)
@@ -246,15 +257,21 @@ class TimelineProc(_Walker):
                     self._waiting_on = allof
                     allof.add_callback(self._resume)
                     return
+                # Already delivered: join its causal frontier, as
+                # ``Process._step`` does for a processed event.
+                hook = sim.cp_hook
+                if hook is not None:
+                    heads = allof.cp_heads
+                    if heads:
+                        hook(self, heads)
         if phase == 2:
             rt = self.rt
             rec = self.rec
             epoch, held, kenv, _found = self.steady
             env = rt.dataenvs[rec.device_id]
             if env.epoch != epoch:
-                # Present table moved between submit and run: delegate to
-                # the generic op generator, exactly as the generator body
-                # does.
+                # Present table moved between submit and run: the generic
+                # op generator takes over, resolving the maps afresh.
                 self.steady = self.waits = None
                 self.gen = self._fallback_gen()
                 Process._step(self, None, None)
@@ -265,6 +282,7 @@ class TimelineProc(_Walker):
             self.held = held
             self.kenv = kenv
             self.dev = rt.devices[rec.device_id]
+            self._begin_op()
             self._issue_ts = sim.now
             self.phase = phase = 3
             if self.issue_lat > 0:
@@ -274,6 +292,7 @@ class TimelineProc(_Walker):
             self.phase = 4
             self._ready_ts = sim.now
             req = self.dev.queue.request(tag=self.kernel.name)
+            req.owner = self.op
             self._req = req
             self._waiting_on = req
             req.add_callback(self._resume)
@@ -303,15 +322,14 @@ class TimelineProc(_Walker):
         dev.queue.release(req)
         self._req = None
         dev.kernels_launched += 1
-        dev.trace.record(tr.KERNEL, kernel.name, lane=dev.queue.name,
-                         start=self._kstart, end=sim.now,
-                         device=rec.device_id,
-                         lo=rec.lo, hi=rec.hi, iterations=self.iters,
-                         issue=self._issue_ts, ready=self._ready_ts,
-                         **_prov_meta(self))
+        self._end_op(dev.trace.record(
+            tr.KERNEL, kernel.name, lane=dev.queue.name, start=self._kstart,
+            end=sim.now, device=rec.device_id, lo=rec.lo, hi=rec.hi,
+            iterations=self.iters, issue=self._issue_ts,
+            ready=self._ready_ts, **_prov_meta(self)))
         # Implicit exit: held refcounts usually just drop back; a count
         # hitting zero runs the full exit protocol (copy-back + release)
-        # exactly as the generator body does.
+        # exactly as ``kernel_op`` does.
         env = self.env
         copyback = []
         to_release = []
@@ -377,17 +395,16 @@ class _CopyProc(_Walker):
     """Base walker for one single-section, unfused memcpy.
 
     Replaces the ``sim.process(copy_h2d(...))`` sub-process the data ops
-    spawn per section (see ``exec_ops._issue_copies``) when no observer
-    needs per-op state: no fault injector, no causal recorder, no race
-    sanitizer, no tools.  Every resource request/release, every timed
-    segment and the final trace record happen in the order and at the
-    virtual times of ``Device._copy_h2d_batch``/``_copy_d2h_batch``, so
-    traces and ``virtual_s`` are bit-identical either way.  On a device
-    behind an inter-node network link the walk gains the hop of
+    spawn per section (see ``exec_ops._issue_copies``) when
+    :func:`walkers_engaged` holds and the device is not lost.  Every
+    resource request/release, every timed segment, every causal-recorder
+    call and the final trace record happen in the order and at the virtual
+    times of ``Device._copy_h2d_batch``/``_copy_d2h_batch``, so traces,
+    recorded edges and ``virtual_s`` are bit-identical either way.  On a
+    device behind an inter-node network link the walk gains the hop of
     ``Device._network_hop``: acquire the node's network, hold it for
     ``latency + wire_time`` in one segment, release it and count
-    ``net_bytes`` (the request's ``owner`` stays None, as the generator's
-    does without a causal recorder).
+    ``net_bytes``.
     """
 
     __slots__ = ("dev", "src", "sk", "dst", "dk", "cost", "phase",
@@ -443,6 +460,12 @@ class _CopyProc(_Walker):
         sim._schedule_fn(self._start)
         return self
 
+    def _claim(self, resource):
+        """A request on *resource* owned by this walk's op."""
+        req = resource.request(tag=self.name)
+        req.owner = self.op
+        return req
+
     def _wait(self, req) -> None:
         self._waiting_on = req
         req.add_callback(self._resume)
@@ -455,7 +478,7 @@ class _CopyProc(_Walker):
         self.net_cost = dev.cost_model.network_transfer(
             dev.network_spec, self.src[self.sk].nbytes)
         self.phase = phase
-        req = self._net_req = dev.network.request(tag=self.name)
+        req = self._net_req = self._claim(dev.network)
         self._wait(req)
 
     def _net_hold(self) -> bool:
@@ -508,18 +531,19 @@ class CopyH2D(_CopyProc):
         dev = self.dev
         phase = self.phase
         if phase == 0:
+            self._begin_op()
             cost = self.cost = dev.cost_model.transfer(
                 dev.link_spec, self.src[self.sk].nbytes)
             self._issue_ts = sim.now
             # Stream slot claimed at issue time (see _copy_h2d_batch).
-            self._queue_req = dev.queue.request(tag=self.name)
+            self._queue_req = self._claim(dev.queue)
             self.phase = phase = 1
             if cost.latency > 0:
                 self._arm(cost.latency)
                 return
         if phase == 1:
             self.phase = 2
-            req = self._staging_req = dev.staging.request(tag=self.name)
+            req = self._staging_req = self._claim(dev.staging)
             self._wait(req)
             return
         if phase == 2:
@@ -562,7 +586,7 @@ class CopyH2D(_CopyProc):
         if phase == 6:
             self._cstart = sim.now
             self.phase = 7
-            req = self._link_req = dev.link.request(tag=self.name)
+            req = self._link_req = self._claim(dev.link)
             self._wait(req)
             return
         if phase == 7:
@@ -588,13 +612,12 @@ class CopyH2D(_CopyProc):
         cost = self.cost
         dev.memcpy_calls += 1
         dev.h2d_bytes += cost.bytes
-        dev.trace.record(tr.H2D, self.name, lane=dev.queue.name,
-                         start=self._cstart, end=sim.now,
-                         device=dev.device_id, bytes=cost.bytes,
-                         issue=self._issue_ts, ready=self._ready_ts,
-                         wire_start=self._wire_start,
-                         wire_end=self._wire_end,
-                         fused=0, **self.net_meta, **_prov_meta(self))
+        self._end_op(dev.trace.record(
+            tr.H2D, self.name, lane=dev.queue.name, start=self._cstart,
+            end=sim.now, device=dev.device_id, bytes=cost.bytes,
+            issue=self._issue_ts, ready=self._ready_ts,
+            wire_start=self._wire_start, wire_end=self._wire_end,
+            fused=0, **self.net_meta, **_prov_meta(self)))
         self.trigger(None)
 
     def _abort(self, exc: BaseException) -> None:
@@ -652,10 +675,11 @@ class CopyD2H(_CopyProc):
         dev = self.dev
         phase = self.phase
         if phase == 0:
+            self._begin_op()
             cost = self.cost = dev.cost_model.transfer(
                 dev.link_spec, self.src[self.sk].nbytes)
             self._issue_ts = sim.now
-            self._queue_req = dev.queue.request(tag=self.name)
+            self._queue_req = self._claim(dev.queue)
             self.phase = phase = 1
             if cost.latency > 0:
                 self._arm(cost.latency)
@@ -673,7 +697,7 @@ class CopyD2H(_CopyProc):
         if phase == 2:
             self._cstart = sim.now
             self.phase = 3
-            req = self._link_req = dev.link.request(tag=self.name)
+            req = self._link_req = self._claim(dev.link)
             self._wait(req)
             return
         if phase == 3:
@@ -709,7 +733,7 @@ class CopyD2H(_CopyProc):
             if self._net_req is not None:
                 self._net_release()
             self.phase = 7
-            req = self._staging_req = dev.staging.request(tag=self.name)
+            req = self._staging_req = self._claim(dev.staging)
             self._wait(req)
             return
         if phase == 7:
@@ -733,14 +757,12 @@ class CopyD2H(_CopyProc):
         dev.d2h_bytes += cost.bytes
         # ``done`` > ``end`` for D2H: the trailing staging piece drains on
         # the host after the device queue slot is released.
-        dev.trace.record(tr.D2H, self.name, lane=dev.queue.name,
-                         start=self._cstart, end=self._wire_end,
-                         device=dev.device_id, bytes=cost.bytes,
-                         issue=self._issue_ts, ready=self._ready_ts,
-                         wire_start=self._wire_start,
-                         wire_end=self._wire_end,
-                         done=sim.now, fused=0, **self.net_meta,
-                         **_prov_meta(self))
+        self._end_op(dev.trace.record(
+            tr.D2H, self.name, lane=dev.queue.name, start=self._cstart,
+            end=self._wire_end, device=dev.device_id, bytes=cost.bytes,
+            issue=self._issue_ts, ready=self._ready_ts,
+            wire_start=self._wire_start, wire_end=self._wire_end,
+            done=sim.now, fused=0, **self.net_meta, **_prov_meta(self)))
         self.trigger(None)
 
     def _abort(self, exc: BaseException) -> None:

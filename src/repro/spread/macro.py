@@ -30,10 +30,11 @@ no lost devices and no reductions.  Any of those → the object path runs,
 unchanged.  ``depend`` clauses are replayed through the real
 :class:`~repro.openmp.depend.DependTracker` with ``submit_spread``'s exact
 two-phase protocol (all chunks resolve against the pre-directive frontier,
-then register).  The fast kernel body also re-validates the environment
-epoch *at run time* (the present table can change between submit and run)
-and falls back to the generic :func:`repro.openmp.exec_ops.kernel_op`
-generator when it moved.
+then register).  A chunk whose maps are all present runs as a
+:class:`~repro.sim.timeline.TimelineProc` walker, which re-validates the
+environment epoch *at run time* (the present table can change between
+submit and run) and falls back to the generic
+:func:`repro.openmp.exec_ops.kernel_op` generator when it moved.
 
 Only ``target spread`` replays.  The data directives (``target enter/exit
 data spread``, the ``target data spread`` region, ``target update spread``)
@@ -125,13 +126,11 @@ def engaged(rt) -> bool:
     """True when the replay path is observationally safe to use.
 
     Tools, the sanitizer and the fault injector all observe (or perturb)
-    per-op bookkeeping the fast path skips; lost devices make cached
-    resolutions meaningless.  Any of them present → object path.  Whether
-    replayed kernel chunks then run as timeline walkers is
-    :func:`repro.sim.timeline.walkers_engaged`'s call.
+    per-op bookkeeping the fast path skips
+    (:func:`repro.sim.timeline.walkers_engaged`); lost devices make cached
+    resolutions meaningless.  Any of them present → object path.
     """
-    return (not rt.tools and rt.sanitizer is None
-            and rt.fault_injector is None and not rt._lost_devices)
+    return _timeline.walkers_engaged(rt) and not rt._lost_devices
 
 
 def compile_exec(plan) -> Optional[MacroProgram]:
@@ -255,60 +254,6 @@ def _plain_body(rt, waits, opgen) -> Generator:
     return (yield from opgen)
 
 
-def _fast_kernel_body(rt, rec: MacroRecord, kernel, cfg, fuse: bool,
-                      waits, steady) -> Generator:
-    """Steady-state kernel chunk: launch directly on cached views.
-
-    Replicates ``kernel_op``'s phases for the all-present case — refcount
-    holds, launch, refcount releases — with the epoch compare standing in
-    for the per-map lookups.  If the present table changed since submit,
-    delegate to the generic op (generators are lazy, so creating it here is
-    exactly the object path).  *steady* is the resolution captured at
-    submit time; everything else is fetched when the body runs.
-    """
-    sim = rt.sim
-    overhead = rt.cost_model.host_task_overhead
-    if overhead > 0:
-        yield sim.timeout(overhead)
-    if waits:
-        yield sim.all_of(waits)
-    epoch, held, kenv, _found = steady
-    env = rt.dataenvs[rec.device_id]
-    if env.epoch != epoch:
-        yield from exec_ops.kernel_op(
-            rt, rec.device_id, kernel, rec.lo, rec.hi, rec.maps,
-            launch=cfg, fuse_transfers=fuse, label=rec.label)
-        return
-    # Implicit entry: everything present, so no alloc sync, no copies —
-    # just the refcount holds the object path's enter would take.
-    for _clause, _interval, entry in held:
-        entry.refcount += 1
-    dev = rt.devices[rec.device_id]
-    yield from dev.launch_kernel(kernel, rec.lo, rec.hi, kenv, launch=cfg)
-    # Implicit exit: the held refcounts usually just drop back.  A count
-    # hitting zero means this directive was the last user — run the full
-    # exit protocol (copy-back + release) exactly as kernel_op does.
-    copyback = []
-    to_release = []
-    for clause, interval, entry in held:
-        if entry.refcount > 1:
-            entry.refcount -= 1
-        else:
-            entry, deleted = env.exit(clause.var, interval)
-            if deleted:
-                if clause.map_type.copies_out:
-                    copyback.append((entry.buffer,
-                                     entry.local_slice(interval),
-                                     clause.var.array, interval.as_slice(),
-                                     clause.var.name))
-                to_release.append(entry)
-    if copyback:
-        yield from exec_ops._issue_copies(rt, dev, copyback, h2d=False,
-                                          fuse=fuse, label=rec.label)
-    if to_release:
-        yield from exec_ops._release_with_sync(rt, rec.device_id, to_release)
-
-
 def _resolve_deps_compiled(prog: MacroProgram, depend):
     """Batched resolve of the program's depend clauses, or None if it has
     none.  Resolution is read-only against the pre-directive frontier (the
@@ -349,7 +294,6 @@ def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
     sim = rt.sim
     envs = rt.dataenvs
     depend = rt.depend
-    fused = _timeline.walkers_engaged(rt)
     tl = None
     dep_waits = _resolve_deps_compiled(prog, depend)
     procs: List[Process] = []
@@ -365,18 +309,11 @@ def replay_exec(ctx, prog: MacroProgram, kernel, cfg, fuse: bool,
         if rec.deps:
             _merge_dep_waits(waits, dep_waits[i])
         if steady[1] is not None:
-            if fused:
-                if tl is None:
-                    tl = _timeline.kernel_timeline(rt, prog, kernel, cfg)
-                proc = _timeline.TimelineProc.spawn(
-                    sim, rt, rec, kernel, cfg, fuse, waits, steady, tl, i,
-                    (directive_id, rec.chunk_index, None))
-            else:
-                gen = _fast_kernel_body(rt, rec, kernel, cfg, fuse, waits,
-                                        steady)
-                proc = Process.spawn_task(sim, gen, rec.name,
-                                          (directive_id, rec.chunk_index,
-                                           None))
+            if tl is None:
+                tl = _timeline.kernel_timeline(rt, prog, kernel, cfg)
+            proc = _timeline.TimelineProc.spawn(
+                sim, rt, rec, kernel, cfg, fuse, waits, steady, tl, i,
+                (directive_id, rec.chunk_index, None))
         else:
             gen = _plain_body(rt, waits, exec_ops.kernel_op(
                 rt, rec.device_id, kernel, rec.lo, rec.hi, rec.maps,

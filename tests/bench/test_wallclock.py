@@ -17,8 +17,7 @@ from repro.bench.wallclock import (
 
 COMMITTED = pathlib.Path(__file__).resolve().parents[2] / "BENCH_wallclock.json"
 
-RATIOS = ("warm_launch_speedup", "fused_e2e_speedup", "recording_overhead",
-          "analyze_vs_default", "report_vs_run")
+RATIOS = ("warm_launch_speedup", "recording_overhead", "report_vs_run")
 
 
 pytestmark = pytest.mark.usefixtures("plain_env")
@@ -85,44 +84,41 @@ class TestArmChecks:
 
     def test_fused_arm_without_segments_fails(self):
         stats = dict(self.STATS, engine_fused_segments=0)
-        with pytest.raises(RuntimeError, match="arm fused ran 0 fused"):
-            wallclock._expect_paths("fused", stats, True)
-
-    def test_generator_arm_with_segments_fails(self):
-        with pytest.raises(RuntimeError, match="arm generators ran 23430"):
-            wallclock._expect_paths("generators", self.STATS, False)
+        with pytest.raises(RuntimeError, match="arm analyze ran 0 fused"):
+            wallclock._expect_paths("analyze", stats)
 
     def test_arm_without_replay_fails(self):
         stats = dict(self.STATS, macro_replays=0)
-        with pytest.raises(RuntimeError, match="arm fused took no macro"):
-            wallclock._expect_paths("fused", stats, True)
+        with pytest.raises(RuntimeError, match="arm analyze took no macro"):
+            wallclock._expect_paths("analyze", stats)
 
 
 class TestFailedGates:
+    #: the two gates CI sets, and a two-sided bound
     BOUNDS = {"warm_launch_speedup": (5.0, None),
-              "fused_e2e_speedup": (1.0, None),
-              "recording_overhead": (None, 0.25)}
+              "recording_overhead": (None, 0.25),
+              "report_vs_run": (0.5, 2.0)}
 
     @staticmethod
-    def result(warm, fused, recording):
+    def result(warm, recording, report):
         return {"warm_launch_speedup": {"median": warm},
-                "fused_e2e_speedup": {"median": fused},
-                "recording_overhead": {"median": recording}}
+                "recording_overhead": {"median": recording},
+                "report_vs_run": {"median": report}}
 
     def test_none_failing(self):
-        assert failed_gates(self.result(6.3, 1.1, 0.1), self.BOUNDS) == []
+        assert failed_gates(self.result(6.3, 0.1, 1.0), self.BOUNDS) == []
 
     def test_open_bounds_check_nothing(self):
         open_bounds = {k: (None, None) for k in self.BOUNDS}
-        assert failed_gates(self.result(0.1, 0.1, 9.0), open_bounds) == []
+        assert failed_gates(self.result(0.1, 9.0, 9.0), open_bounds) == []
 
     def test_one_failing(self):
-        failed = failed_gates(self.result(4.0, 1.1, 0.1), self.BOUNDS)
+        failed = failed_gates(self.result(4.0, 0.1, 1.0), self.BOUNDS)
         assert len(failed) == 1
         assert failed[0].startswith("warm_launch_speedup median 4.000")
 
     def test_all_three_failing(self):
-        failed = failed_gates(self.result(4.0, 0.9, 0.3), self.BOUNDS)
+        failed = failed_gates(self.result(4.0, 0.3, 2.5), self.BOUNDS)
         assert [m.split()[0] for m in failed] == list(self.BOUNDS)
 
 
@@ -134,7 +130,7 @@ class TestHostMetadata:
 
 
 def check_shape(doc):
-    assert doc["schema"] == "repro-wallclock-8"
+    assert doc["schema"] == "repro-wallclock-9"
     assert set(doc) == {"schema", "timestamp", "host", "clock", "pairs",
                         "n_functional", "steps", *RATIOS}
     assert set(doc["host"]) == {"cpu_count", "python", "numpy", "platform"}

@@ -17,9 +17,10 @@ from repro.sim.topology import cte_power_node, uniform_node
 
 @pytest.fixture
 def plain_env(monkeypatch):
-    """Unset the run knobs the CI legs export: the observers they arm
-    (fault injector, sanitizer, causal recorder) turn macro replay or the
-    walkers off by design, so tests pinning the plain path go without."""
+    """Unset the run knobs the CI legs export: the fault injector and the
+    sanitizer turn macro replay and the walkers off by design, the causal
+    recorder turns tracing on, and the machine moves every figure, so
+    tests pinning the plain path go without."""
     for var in ("REPRO_FAULTS", "REPRO_FAULT_SEED", "REPRO_SANITIZE",
                 "REPRO_ANALYZE", "REPRO_MACHINE"):
         monkeypatch.delenv(var, raising=False)

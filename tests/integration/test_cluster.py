@@ -96,12 +96,11 @@ NETWORKED_FUSED = {"cluster:2x2": 3040, "cluster:16x4": 9740,
                    "cluster:64x4": 9840}
 
 
-def run_paper_cluster(spec, fused):
+def run_paper_cluster(spec, tools=()):
     topology, cost_model = machine_for_spec(spec, n_functional=48)
     return run_somier("one_buffer",
                       paper_somier_config(n_functional=48, steps=2),
-                      topology=topology, cost_model=cost_model,
-                      fused_timeline=fused)
+                      topology=topology, cost_model=cost_model, tools=tools)
 
 
 def events_in_key_order(res):
@@ -114,10 +113,11 @@ class TestClusterBitIdentity:
     @pytest.mark.usefixtures("plain_env")
     def test_networked_copies_walk(self, spec):
         """Copies behind a network link run on the copy walkers and match
-        the generator path: every trace event with its meta in key order,
-        each device's ``net_bytes`` and each network's grant count."""
-        walk = run_paper_cluster(spec, True)
-        gen = run_paper_cluster(spec, False)
+        the generator path (a registered tool keeps every copy on generator
+        sub-processes): every trace event with its meta in key order, each
+        device's ``net_bytes`` and each network's grant count."""
+        walk = run_paper_cluster(spec)
+        gen = run_paper_cluster(spec, tools=(CallbackLog(),))
         assert walk.stats["engine_fused_segments"] == NETWORKED_FUSED[spec]
         assert gen.stats["engine_fused_segments"] == 0
         assert walk.elapsed == gen.elapsed
@@ -155,7 +155,6 @@ class TestClusterBitIdentity:
 
     def test_replay_paths_transparent(self):
         base = run()
-        assert_bit_identical(base, run(fused_timeline=False))
         # a registered tool replays cache hits through the object path
         assert_bit_identical(base, run(tools=(CallbackLog(),)))
         assert_bit_identical(base, run(plan_cache=False))

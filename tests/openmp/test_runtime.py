@@ -128,8 +128,7 @@ class TestKnobContract:
 
     @pytest.mark.parametrize("field,junk", [
         ("trace", "yes"), ("taskgroup_global_drain", None),
-        ("plan_cache", "no"), ("fused_timeline", "off"),
-        ("faults", "warp:0.1"), ("fault_seed", "7"), ("retry", "x"),
+        ("plan_cache", "no"), ("faults", "warp:0.1"), ("fault_seed", "7"), ("retry", "x"),
         ("sanitize", "later"), ("analyze", "no")])
     def test_junk_field_names_itself(self, field, junk):
         with pytest.raises(OmpRuntimeError, match=field):
@@ -154,6 +153,13 @@ class TestKnobContract:
         with pytest.raises(TypeError, match="plan_cashe"):
             run_somier("one_buffer", paper_somier_config(24, 1),
                        plan_cashe=False)
+
+    @pytest.mark.parametrize("spec", ["", "  ", ",", " , "])
+    def test_fault_spec_without_rules_is_none(self, spec):
+        """A spec with no rules would attach an injector that injects
+        nothing yet turns replay and the walkers off."""
+        assert RunOptions(faults=spec).faults is None
+        assert OpenMPRuntime(faults=spec).fault_injector is None
 
     def test_keywords_override_options(self):
         rt = OpenMPRuntime(options=RunOptions(plan_cache=False), trace=False)

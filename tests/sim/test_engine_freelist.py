@@ -4,8 +4,9 @@ The engine recycles :class:`~repro.sim.engine.Timeout` and ``_Call``
 entries through small freelists.  Once the pools warm up, steady-state
 execution must allocate *zero* new entries per operation — the
 ``*_created`` counters go flat while ``*_reused`` keeps climbing — on
-the fused-timeline path and, crucially, on the plain generator path too
-(``fused_timeline=False``), where every yield is a fresh wait.
+the fused-timeline path and, crucially, on the generator path too (a
+registered tool keeps every op on it), where every yield is a fresh
+wait.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.bench.machines import (
 )
 from repro.sim.engine import Simulator
 from repro.somier.driver import run_somier
+from tests.conftest import CallbackLog
 
 
 class TestEngineLevelReuse:
@@ -55,8 +57,8 @@ def _engine_stats(steps, fused):
     topo, cm = paper_machine(4, n_functional=24)
     cfg = paper_somier_config(n_functional=24, steps=steps)
     res = run_somier("one_buffer", cfg, devices=paper_devices(4),
-                     topology=topo, cost_model=cm,
-                     fused_timeline=fused, trace=False)
+                     topology=topo, cost_model=cm, trace=False,
+                     tools=() if fused else (CallbackLog(),))
     return res.runtime.sim.engine_stats()
 
 
@@ -75,8 +77,8 @@ class TestWarmLaunchRegression:
         assert long["calls_reused"] > short["calls_reused"]
 
     def test_generator_path_reuse_dominates(self):
-        """Even with fused timelines off, reuse beats creation by orders
-        of magnitude."""
+        """Even on the generator path, reuse beats creation by orders of
+        magnitude."""
         st = _engine_stats(8, False)
         assert st["fused_segments"] == 0
         assert st["timeouts_reused"] > 100 * st["timeouts_created"]

@@ -1,14 +1,16 @@
-"""Fused-timeline engine: bit identity fused on vs off, and the path table.
+"""Fused-timeline engine: bit identity against the generator path, and
+the path table.
 
 :mod:`repro.sim.timeline` executes replayed spread chunks (and the
 runtime's batched section copies) as fused timeline walkers: per-chunk
 virtual-time segments advanced in single dispatches instead of generator
-round-trips.  The acceptance contract mirrors macro replay's, one level
-down — the walker path must be observationally indistinguishable from
-the generator path.  Same ``virtual_s`` to the bit, same trace events,
-same results, across implementations and spread modes.  The decision
-table pins which path each observer selects — macro replay and walkers,
-replay on the generator path, or the object path — and checks every row
+round-trips.  The walker path must be observationally indistinguishable
+from the generator path, which a run with a registered tool takes (the
+object path: generator chunk bodies and copy sub-processes).  Same
+``virtual_s`` to the bit, same trace events, same results, across
+implementations and spread modes; under ``analyze`` also the same causal
+record.  The decision table pins which path each observer selects —
+macro replay and walkers, or the object path — and checks every row
 against the cold ``plan_cache=False`` run with the same observers.
 """
 
@@ -43,12 +45,18 @@ def _event_tuples(trace):
             for e in trace.events]
 
 
-def _run(impl, fused=True, *, gpus=4, n=24, steps=3, devices=None, **kw):
+def _run(impl, *, gpus=4, n=24, steps=3, devices=None, **kw):
     topo, cm = paper_machine(gpus, n_functional=n)
     cfg = paper_somier_config(n_functional=n, steps=steps)
     devs = devices if devices is not None else paper_devices(gpus)
     return run_somier(impl, cfg, devices=devs, topology=topo, cost_model=cm,
-                      fused_timeline=fused, **kw)
+                      **kw)
+
+
+def _generator_run(impl, **kw):
+    """The generator-path reference: a registered tool keeps every chunk
+    and copy on generator processes."""
+    return _run(impl, tools=(CallbackLog(),), **kw)
 
 
 def _assert_identical(a, b):
@@ -70,7 +78,7 @@ MATRIX = [
     ("double_buffering", dict(n=48)),
     ("double_buffering", dict(n=48, data_depend=True)),
     # seeded transfer retries: the injector keeps the walkers off, and the
-    # retries must replay alike with the argument on or off
+    # retries must replay alike with a tool registered or not
     ("one_buffer", dict(faults="transfer:0.05", fault_seed=7)),
 ]
 
@@ -80,8 +88,8 @@ class TestBitIdentity:
         "impl,kw", MATRIX,
         ids=[f"{i}-{'-'.join(k) or 'default'}" for i, k in MATRIX])
     def test_fused_on_vs_off(self, impl, kw):
-        on = _run(impl, True, **kw)
-        off = _run(impl, False, **kw)
+        on = _run(impl, **kw)
+        off = _generator_run(impl, **kw)
         if "faults" in kw:
             assert on.stats["engine_fused_segments"] == 0
             assert (on.stats["faults_injected"]
@@ -98,8 +106,8 @@ class TestBitIdentity:
         walker must continue synchronously (as ``gen.send`` does for a
         processed event) or two d2h completions on different devices swap
         trace order."""
-        on = _run("double_buffering", True, n=48, steps=2)
-        off = _run("double_buffering", False, n=48, steps=2)
+        on = _run("double_buffering", n=48, steps=2)
+        off = _generator_run("double_buffering", n=48, steps=2)
         assert on.stats["engine_fused_segments"] > 0
         assert off.stats["engine_fused_segments"] == 0
         _assert_identical(on, off)
@@ -109,12 +117,13 @@ class TestBitIdentity:
 #: Somier n=24, 12 steps, one_buffer, paper 4-GPU node
 DECISION_TABLE = [
     ("plain", dict, (330, 23430)),
-    ("analyze", lambda: dict(analyze=True), (330, 0)),
-    ("fused_timeline_off", lambda: dict(fused=False), (330, 0)),
+    ("analyze", lambda: dict(analyze=True), (330, 23430)),
     ("tool", lambda: dict(tools=(CallbackLog(),)), (0, 0)),
     ("sanitizer", lambda: dict(sanitize=True), (0, 0)),
     # injector armed, no fault ever fires
     ("faults_armed", lambda: dict(faults="transfer:0.0"), (0, 0)),
+    # a spec with no rules arms no injector
+    ("faults_empty", lambda: dict(faults=""), (330, 23430)),
 ]
 
 #: virtual seconds of that run, on every path
@@ -123,10 +132,9 @@ DECISION_ELAPSED = 226.88128709639128
 
 class TestDecisionTable:
     """Only what observes the run picks the warm spread path: macro replay
-    with walkers, macro replay on the generator path (the causal recorder
-    or ``fused_timeline=False``), or the object path (tools, sanitizer,
-    fault injector).  Every row matches the cold run with the same
-    observers to the bit."""
+    with walkers (the causal recorder included), or the object path
+    (tools, sanitizer, fault injector).  Every row matches the cold run
+    with the same observers to the bit."""
 
     @pytest.mark.parametrize("kw,expected",
                              [(kw, want) for _, kw, want in DECISION_TABLE],
@@ -142,16 +150,53 @@ class TestDecisionTable:
         _assert_identical(warm, cold)
 
 
+def _recorded(res):
+    rec = res.runtime.causal
+    return (rec.ops, rec.dep_edge_count, len(rec.res_edges),
+            len(rec.op_event), res.runtime.analysis().report())
+
+
+class TestRecordingAcrossPaths:
+    # Double Buffering queues kernels behind the other buffer's copies
+    # (Fig. 4), so its contention edges also pin the kernel walker's
+    # queue-request owner.
+    @pytest.mark.parametrize("impl,kw", [
+        ("one_buffer", dict(steps=12)),
+        ("double_buffering", dict(n=48, steps=3))],
+        ids=["one_buffer", "double_buffering"])
+    def test_report_and_counts_match(self, impl, kw):
+        """The walkers record what the generator bodies record: under
+        ``analyze`` the default run, the object path (a registered tool)
+        and the cold run agree on the recorder's counts and the full
+        critical-path report."""
+        walk = _run(impl, analyze=True, **kw)
+        assert walk.stats["engine_fused_segments"] > 0
+        want = _recorded(walk)
+        assert _recorded(_generator_run(impl, analyze=True, **kw)) == want
+        assert _recorded(_run(impl, plan_cache=False, analyze=True,
+                              **kw)) == want
+
+
 class TestWalkerErrors:
     def test_warm_nowait_kernel_error_surfaces_at_taskwait(self):
         """A kernel body raising on a warm, macro-replayed ``nowait``
         launch runs on a timeline walker; the walker must release the
         device queue and fail, so the original exception reaches the
         ``taskwait`` that joins it."""
+        self._raise_on_a_walker(analyze=False)
+
+    def test_error_surfaces_under_analyze(self):
+        """The same with the causal recorder attached: the walkers keep
+        running, and a failed op records no end."""
+        rt = self._raise_on_a_walker(analyze=True)
+        assert rt.causal.ops > len(rt.causal.op_event) > 0
+
+    @staticmethod
+    def _raise_on_a_walker(analyze):
         S, Z = omp_spread_start, omp_spread_size
         n, devices, warm = 64, [0, 1, 2, 3], 3
         rt = OpenMPRuntime(topology=cte_power_node(4, memory_bytes=1e9),
-                           trace=False)
+                           trace=analyze, analyze=analyze)
         vA, vB = Var("A", np.arange(float(n))), Var("B", np.zeros(n))
         state = {"fail": False}
         failed_on, surfaced = [], []
@@ -189,11 +234,12 @@ class TestWalkerErrors:
                                  for p in failed_on)
         # the failing walkers handed their device queue slots back
         assert all(p.dev.queue.in_use == 0 for p in failed_on)
+        return rt
 
 
 class TestKnob:
     def test_engine_stats_exposed(self):
-        res = _run("one_buffer", True)
+        res = _run("one_buffer")
         st = res.stats
         assert st["engine_events_scheduled"] > 0
         assert st["engine_dispatches"] > 0

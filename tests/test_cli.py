@@ -203,8 +203,9 @@ class TestStats:
 
     @pytest.mark.usefixtures("plain_env")
     def test_stats_profiles_the_analyze_path(self, capsys, tmp_path):
-        """``stats`` always records causal edges, which turn the walkers
-        off; ``somier --metrics-json`` profiles the plain run."""
+        """``stats`` always records causal edges, which leave the path as
+        it is: it replays on the walkers as ``somier --metrics-json``
+        does."""
         import json
 
         flags = ["--gpus", "2", "--n-functional", "24", "--steps", "2"]
@@ -212,8 +213,12 @@ class TestStats:
         stats = json.loads(capsys.readouterr().out)
         path = tmp_path / "plain.json"
         assert main(["somier", *flags, "--metrics-json", str(path)]) == 0
-        assert stats["engine"]["fused_segments"] == 0
-        assert json.loads(path.read_text())["engine"]["fused_segments"] > 0
+        plain = json.loads(path.read_text())
+        assert stats["engine"]["fused_segments"] > 0
+        assert stats["engine"]["fused_segments"] == \
+            plain["engine"]["fused_segments"]
+        assert stats["counters"]["macro_replays"] == \
+            plain["counters"]["macro_replays"]
 
     def test_full_adds_raw_catalogue(self, capsys):
         rc = main(["stats", "--impl", "target", "--gpus", "1",
@@ -258,6 +263,24 @@ class TestFaultsFlag:
                    "--faults", "transfer:0.0"])
         assert rc == 0
         assert "bitwise identical" in capsys.readouterr().out
+
+    @pytest.mark.usefixtures("plain_env")
+    def test_empty_spec_keeps_the_fast_path(self, capsys, tmp_path):
+        """``--faults ""`` has no rules: it arms no injector, so the run
+        replays on the walkers as a run without the flag does."""
+        import json
+
+        flags = ["--gpus", "4", "--n-functional", "24", "--steps", "2"]
+        paths = [tmp_path / "empty.json", tmp_path / "plain.json"]
+        assert main(["somier", *flags, "--faults", "",
+                     "--metrics-json", str(paths[0])]) == 0
+        assert main(["somier", *flags, "--metrics-json", str(paths[1])]) == 0
+        capsys.readouterr()
+        empty, plain = (json.loads(p.read_text()) for p in paths)
+        assert empty["engine"]["fused_segments"] > 0
+        assert empty["engine"] == plain["engine"]
+        assert (empty["counters"]["macro_replays"]
+                == plain["counters"]["macro_replays"] > 0)
 
     def test_bad_spec_is_clean_error(self, capsys):
         rc = main(["somier", "--impl", "one_buffer", "--gpus", "2",
