@@ -18,10 +18,13 @@ Execution model (calibrated against the paper's traces, see DESIGN.md §4):
   staging bandwidth — the communication bottleneck that caps the paper's
   4-GPU speedup at ~2X.
 
-An H2D memcpy: issue latency -> staging (snapshot of the host section) ->
-device queue + socket link for the wire time -> functional copy into the
-device buffer.  D2H mirrors it: wire first (snapshot of the device section),
-staging and the host write afterwards.
+An H2D memcpy: issue latency -> staging (the host section is read) ->
+device queue + socket link for the wire time -> the device buffer is
+written.  D2H mirrors it: wire first (the device section is read), staging
+and the host write afterwards.  A copy the runtime owns outright (the
+copy-in of a new mapping, the copy-back of a deleted one) is *exclusive*:
+its bytes move once, where the host array is touched, with no snapshot in
+between (see "functional payload" below).
 """
 
 from __future__ import annotations
@@ -254,8 +257,26 @@ class Device:
     # -- functional payload ------------------------------------------------------
     #
     # Transfers keep copy semantics: the source sections are read into
-    # snapshots when the op stages them and written to the destination when
-    # it commits, so a writer landing in between never leaks into the copy.
+    # snapshots when the op stages them (H2D) or when its wire ends (D2H),
+    # and written to the destination when it commits, so a writer landing
+    # in between never leaks into the copy.
+    #
+    # An *exclusive* copy skips the snapshot and moves its bytes once, at
+    # the point where it touches the host array: an H2D writes
+    # ``dst[dk] = src[sk]`` at staging end, a D2H at its commit.  Host
+    # reads and writes happen at the same virtual times either way; only
+    # the device side of the move shifts.  The runtime marks exactly two
+    # kinds of copy exclusive (``exec_ops._issue_copies``):
+    #
+    # * the copy-back of a *deleted* present-table entry: it has no
+    #   refcount holder left, and its storage is freed only after the copy
+    #   completes, so nothing can write the device buffer in between;
+    # * the copy-in of a *new* entry: it is reached only by ops ordered
+    #   after its enter, through ``depend`` or the per-entry in-flight
+    #   waits, so nothing reads or writes the device buffer before commit.
+    #
+    # So only a racy program can tell the difference.  ``target update``
+    # and direct ``copy_*`` calls (reduction partials) keep the snapshot.
 
     @staticmethod
     def _snapshot_sections(sections):
@@ -268,23 +289,34 @@ class Device:
         for (dst, dk), snap in zip(targets, snapshots):
             dst[dk] = snap
 
+    @staticmethod
+    def _move_sections(copies) -> None:
+        """Write ``dst[dk] = src[sk]`` for each copy: one pass, no snapshot."""
+        for src, sk, dst, dk in copies:
+            dst[dk] = src[sk]
+
     # -- transfers ---------------------------------------------------------------
 
     def copy_h2d(self, src: np.ndarray, src_key: Any,
                  dst: np.ndarray, dst_key: Any,
-                 name: str = "memcpy") -> Generator:
-        """One host-to-device memcpy of ``src[src_key] -> dst[dst_key]``."""
+                 name: str = "memcpy", exclusive: bool = False) -> Generator:
+        """One host-to-device memcpy of ``src[src_key] -> dst[dst_key]``.
+
+        ``exclusive`` moves the bytes once, with no snapshot (see the
+        functional-payload notes above).
+        """
         yield from self._copy_h2d_batch([(src, src_key, dst, dst_key)], name,
-                                        fused=False)
+                                        fused=False, exclusive=exclusive)
 
     def copy_d2h(self, src: np.ndarray, src_key: Any,
                  dst: np.ndarray, dst_key: Any,
-                 name: str = "memcpy") -> Generator:
+                 name: str = "memcpy", exclusive: bool = False) -> Generator:
         """One device-to-host memcpy (see :meth:`copy_h2d`)."""
         yield from self._copy_d2h_batch([(src, src_key, dst, dst_key)], name,
-                                        fused=False)
+                                        fused=False, exclusive=exclusive)
 
-    def copy_h2d_batch(self, copies, name: str = "memcpy-batch") -> Generator:
+    def copy_h2d_batch(self, copies, name: str = "memcpy-batch",
+                       exclusive: bool = False) -> Generator:
         """A fused host-to-device transfer of several array sections.
 
         Pays the per-call latency once and stages/wires the summed bytes in
@@ -292,13 +324,17 @@ class Device:
         calls per chunk (Section VI-B discusses this granularity problem;
         the ablation benchmark quantifies it).
         """
-        yield from self._copy_h2d_batch(list(copies), name, fused=True)
+        yield from self._copy_h2d_batch(list(copies), name, fused=True,
+                                        exclusive=exclusive)
 
-    def copy_d2h_batch(self, copies, name: str = "memcpy-batch") -> Generator:
+    def copy_d2h_batch(self, copies, name: str = "memcpy-batch",
+                       exclusive: bool = False) -> Generator:
         """Fused device-to-host transfer (see :meth:`copy_h2d_batch`)."""
-        yield from self._copy_d2h_batch(list(copies), name, fused=True)
+        yield from self._copy_d2h_batch(list(copies), name, fused=True,
+                                        exclusive=exclusive)
 
-    def _copy_h2d_batch(self, copies, name: str, fused: bool) -> Generator:
+    def _copy_h2d_batch(self, copies, name: str, fused: bool,
+                        exclusive: bool) -> Generator:
         if not copies:
             return
         self._check_fault("h2d", name)
@@ -317,7 +353,7 @@ class Device:
         queue_req.owner = op
         if cost.latency > 0:
             yield self.sim.timeout(cost.latency)
-        # Stage: snapshot the host sections through the shared staging path.
+        # Stage: read the host sections through the shared staging path.
         staging_req = self.staging.request(tag=name)
         staging_req.owner = op
         yield staging_req
@@ -334,8 +370,11 @@ class Device:
         try:
             if lead > 0:
                 yield self.sim.timeout(lead)
-            snapshots = self._snapshot_sections(
-                [(src, sk) for src, sk, _d, _dk in copies])
+            if exclusive:
+                self._move_sections(copies)
+            else:
+                snapshots = self._snapshot_sections(
+                    [(src, sk) for src, sk, _d, _dk in copies])
         finally:
             self.staging.release(staging_req)
         # Inter-node hop: staged bytes travel root host -> this node's
@@ -374,8 +413,9 @@ class Device:
                 self.link.release(link_req)
             if helper is not None:
                 yield helper
-            self._commit_sections(
-                [(dst, dk) for _s, _sk, dst, dk in copies], snapshots)
+            if not exclusive:
+                self._commit_sections(
+                    [(dst, dk) for _s, _sk, dst, dk in copies], snapshots)
         finally:
             self.queue.release(queue_req)
         self.memcpy_calls += 1
@@ -396,7 +436,8 @@ class Device:
                            end=self.sim.now, wire_start=wire_start,
                            wire_end=wire_end, time=self.sim.now)
 
-    def _copy_d2h_batch(self, copies, name: str, fused: bool) -> Generator:
+    def _copy_d2h_batch(self, copies, name: str, fused: bool,
+                        exclusive: bool) -> Generator:
         if not copies:
             return
         self._check_fault("d2h", name)
@@ -419,7 +460,7 @@ class Device:
         queue_req.owner = op
         if cost.latency > 0:
             yield self.sim.timeout(cost.latency)
-        # Wire: device queue + socket link; snapshot the device sections.
+        # Wire: device queue + socket link; read the device sections.
         ready_ts = self.sim.now
         yield queue_req
         start = self.sim.now
@@ -447,8 +488,9 @@ class Device:
                 self.link.release(link_req)
             if helper is not None:
                 yield helper
-            snapshots = self._snapshot_sections(
-                [(src, sk) for src, sk, _d, _dk in copies])
+            if not exclusive:
+                snapshots = self._snapshot_sections(
+                    [(src, sk) for src, sk, _d, _dk in copies])
         finally:
             self.queue.release(queue_req)
         # Inter-node hop: the drained bytes travel this node's staging
@@ -466,8 +508,11 @@ class Device:
         try:
             if tail > 0:
                 yield self.sim.timeout(tail)
-            self._commit_sections(
-                [(dst, dk) for _s, _sk, dst, dk in copies], snapshots)
+            if exclusive:
+                self._move_sections(copies)
+            else:
+                self._commit_sections(
+                    [(dst, dk) for _s, _sk, dst, dk in copies], snapshots)
         finally:
             self.staging.release(staging_req)
         self.memcpy_calls += 1

@@ -294,7 +294,7 @@ def enter_op(rt, device_id: int, concrete_maps: Sequence[ConcreteMap],
                            entry.buffer, entry.local_slice(interval),
                            clause.var.name))
     yield from _issue_copies(rt, dev, copies, h2d=True, fuse=fuse_transfers,
-                             label=label)
+                             label=label, exclusive=True)
 
 
 def exit_op(rt, device_id: int, concrete_maps: Sequence[ConcreteMap],
@@ -324,7 +324,7 @@ def exit_op(rt, device_id: int, concrete_maps: Sequence[ConcreteMap],
                                clause.var.name))
             to_release.append(entry)
     yield from _issue_copies(rt, dev, copies, h2d=False, fuse=fuse_transfers,
-                             label=label)
+                             label=label, exclusive=True)
     yield from _release_with_sync(rt, device_id, to_release)
 
 
@@ -403,7 +403,7 @@ def kernel_op(rt, device_id: int, kernel: KernelSpec, lo: int, hi: int,
                            entry.buffer, entry.local_slice(interval),
                            clause.var.name))
     yield from _issue_copies(rt, dev, copies, h2d=True, fuse=fuse_transfers,
-                             label=label)
+                             label=label, exclusive=True)
     # Kernel launch on the mapped views.
     kenv = {}
     for clause, interval in concrete_maps:
@@ -435,12 +435,19 @@ def kernel_op(rt, device_id: int, kernel: KernelSpec, lo: int, hi: int,
                                  clause.var.name))
             to_release.append(entry)
     yield from _issue_copies(rt, dev, copyback, h2d=False,
-                             fuse=fuse_transfers, label=label)
+                             fuse=fuse_transfers, label=label, exclusive=True)
     yield from _release_with_sync(rt, device_id, to_release, env=env)
 
 
 def _issue_copies(rt, dev, copies, h2d: bool, fuse: bool,
-                  label: str) -> Generator:
+                  label: str, exclusive: bool = False) -> Generator:
+    """Issue *copies* on *dev* and wait for all of them.
+
+    ``exclusive`` marks copies whose device buffer no other op can touch:
+    the copy-in of a new present-table entry and the copy-back of a
+    deleted one.  They move their bytes once, with no snapshot (see
+    ``Device._move_sections``); ``target update`` keeps the snapshot.
+    """
     if not copies:
         return
     op = "h2d" if h2d else "d2h"
@@ -448,9 +455,11 @@ def _issue_copies(rt, dev, copies, h2d: bool, fuse: bool,
         batch = [(src, sk, dst, dk) for src, sk, dst, dk, _name in copies]
         name = f"{label or 'map'}(fused x{len(batch)})"
         if h2d:
-            factory = lambda: dev.copy_h2d_batch(batch, name=name)  # noqa: E731
+            factory = lambda: dev.copy_h2d_batch(  # noqa: E731
+                batch, name=name, exclusive=exclusive)
         else:
-            factory = lambda: dev.copy_d2h_batch(batch, name=name)  # noqa: E731
+            factory = lambda: dev.copy_d2h_batch(  # noqa: E731
+                batch, name=name, exclusive=exclusive)
         yield from _maybe_retry(rt, dev.device_id, factory, op, name)
         return
     # Issue all memcpys at once (what a runtime enqueuing async copies
@@ -466,7 +475,8 @@ def _issue_copies(rt, dev, copies, h2d: bool, fuse: bool,
         # generator sub-processes below.
         cls = _timeline.CopyH2D if h2d else _timeline.CopyD2H
         prefix = label or "map"
-        walkers = [cls.spawn(sim, dev, src, sk, dst, dk, f"{prefix}:{vname}")
+        walkers = [cls.spawn(sim, dev, src, sk, dst, dk, f"{prefix}:{vname}",
+                             exclusive)
                    for src, sk, dst, dk, vname in copies]
         yield sim.all_of(walkers)
         return
@@ -475,8 +485,9 @@ def _issue_copies(rt, dev, copies, h2d: bool, fuse: bool,
         name = f"{label or 'map'}:{vname}"
 
         def factory(s=src, sl=sk, d=dst, dl=dk, n=name):
-            return (dev.copy_h2d(s, sl, d, dl, name=n) if h2d
-                    else dev.copy_d2h(s, sl, d, dl, name=n))
+            return (dev.copy_h2d(s, sl, d, dl, name=n, exclusive=exclusive)
+                    if h2d else
+                    dev.copy_d2h(s, sl, d, dl, name=n, exclusive=exclusive))
 
         # The retry wrapper rides inside the spawned process, so transient
         # faults are absorbed there; a DeviceLostError fails the process

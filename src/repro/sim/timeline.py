@@ -370,7 +370,7 @@ class TimelineProc(_Walker):
         if copyback:
             yield from exec_ops._issue_copies(self.rt, self.dev, copyback,
                                               h2d=False, fuse=self.fuse,
-                                              label=rec.label)
+                                              label=rec.label, exclusive=True)
         if to_release:
             yield from exec_ops._release_with_sync(self.rt, rec.device_id,
                                                    to_release)
@@ -404,16 +404,19 @@ class _CopyProc(_Walker):
     device behind an inter-node network link the walk gains the hop of
     ``Device._network_hop``: acquire the node's network, hold it for
     ``latency + wire_time`` in one segment, release it and count
-    ``net_bytes``.
+    ``net_bytes``.  An ``exclusive`` walker moves its bytes once, with no
+    snapshot, where the generator body's ``exclusive`` branch does.
     """
 
-    __slots__ = ("dev", "src", "sk", "dst", "dk", "cost", "phase",
+    __slots__ = ("dev", "src", "sk", "dst", "dk", "exclusive", "cost",
+                 "phase",
                  "_queue_req", "_staging_req", "_link_req", "_snaps",
                  "_issue_ts", "_ready_ts", "_cstart", "_wire_start",
                  "_wire_end", "_net_req", "net_cost", "net_meta")
 
     @classmethod
-    def spawn(cls, sim, dev, src, sk, dst, dk, name: str) -> "_CopyProc":
+    def spawn(cls, sim, dev, src, sk, dst, dk, name: str,
+              exclusive: bool = False) -> "_CopyProc":
         """Mirror of ``Process.__init__`` for a copy sub-process: inherit
         provenance from the spawning (data-op) process and push ``_start``
         at the same calendar-queue position ``sim.process`` would."""
@@ -443,6 +446,7 @@ class _CopyProc(_Walker):
         self.sk = sk
         self.dst = dst
         self.dk = dk
+        self.exclusive = exclusive
         self.cost = None
         self.phase = 0
         self._queue_req = None
@@ -507,12 +511,13 @@ class CopyH2D(_CopyProc):
     0. cost + issue-time queue claim, per-call latency  (inert segment)
     1. staging acquire                                  (interaction)
     2. staging time                                     (inert segment)
-    3. snapshot + staging release, network acquire      (interaction)
+    3. snapshot (exclusive: move) + staging release,
+       network acquire                                  (interaction)
     4. network hold                                     (inert segment)
     5. network release, queue wait                      (interaction)
     6. link acquire                                     (interaction)
     7. wire time                                        (inert segment)
-    8. link release, commit, queue release, trace
+    8. link release, commit (exclusive: none), queue release, trace
 
     Phase 3's network acquire and phase 4 run on networked devices only.
     """
@@ -556,7 +561,11 @@ class CopyH2D(_CopyProc):
             staging_req = self._staging_req
             self._staging_req = None
             try:
-                self._snaps = dev._snapshot_sections([(self.src, self.sk)])
+                if self.exclusive:
+                    self.dst[self.dk] = self.src[self.sk]
+                else:
+                    self._snaps = dev._snapshot_sections(
+                        [(self.src, self.sk)])
             except BaseException as err:  # noqa: BLE001 - deliver via event
                 dev.staging.release(staging_req)
                 self.fail(err)
@@ -601,7 +610,8 @@ class CopyH2D(_CopyProc):
         self._link_req = None
         snaps, self._snaps = self._snaps, None
         try:
-            dev._commit_sections([(self.dst, self.dk)], snaps)
+            if snaps is not None:
+                dev._commit_sections([(self.dst, self.dk)], snaps)
         except BaseException as err:  # noqa: BLE001 - deliver via event
             dev.queue.release(self._queue_req)
             self._queue_req = None
@@ -652,11 +662,12 @@ class CopyD2H(_CopyProc):
     1. queue wait                                       (interaction)
     2. link acquire                                     (interaction)
     3. wire time                                        (inert segment)
-    4. link release, snapshot, queue release, network acquire (interaction)
+    4. link release, snapshot (exclusive: none), queue release,
+       network acquire                                  (interaction)
     5. network hold                                     (inert segment)
     6. network release, staging acquire                 (interaction)
     7. trailing staging time                            (inert segment)
-    8. commit, staging release, trace
+    8. commit (exclusive: move), staging release, trace
 
     Phase 4's network acquire and phase 5 run on networked devices only.
     """
@@ -714,7 +725,9 @@ class CopyD2H(_CopyProc):
             queue_req = self._queue_req
             self._queue_req = None
             try:
-                self._snaps = dev._snapshot_sections([(self.src, self.sk)])
+                if not self.exclusive:
+                    self._snaps = dev._snapshot_sections(
+                        [(self.src, self.sk)])
             except BaseException as err:  # noqa: BLE001 - deliver via event
                 dev.queue.release(queue_req)
                 self.fail(err)
@@ -746,7 +759,10 @@ class CopyD2H(_CopyProc):
         self._staging_req = None
         snaps, self._snaps = self._snaps, None
         try:
-            dev._commit_sections([(self.dst, self.dk)], snaps)
+            if self.exclusive:
+                self.dst[self.dk] = self.src[self.sk]
+            else:
+                dev._commit_sections([(self.dst, self.dk)], snaps)
         except BaseException as err:  # noqa: BLE001 - deliver via event
             dev.staging.release(staging_req)
             self.fail(err)

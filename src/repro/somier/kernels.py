@@ -26,6 +26,11 @@ from repro.device.kernel import KernelSpec
 from repro.somier.config import SomierConfig
 
 
+#: Interior cells per row block of :func:`forces_body` (3 rows at n=96):
+#: the block's spring and accumulator temporaries then stay cache-sized.
+_FORCES_BLOCK_CELLS = 1 << 15
+
+
 def forces_body(lo: int, hi: int, env: Mapping) -> None:
     """Spring forces on interior nodes of rows ``[lo, hi)``.
 
@@ -35,21 +40,33 @@ def forces_body(lo: int, hi: int, env: Mapping) -> None:
     exactly zero.
 
     Each spring is evaluated once: per axis, ``c = coef(s) * s`` for the
-    spring ``s = p[next] - p[here]`` over the chunk plus the one spring
-    below it, and a cell then takes ``-c`` from its lower spring and
+    spring ``s = p[next] - p[here]`` over the rows plus the one spring
+    below them, and a cell then takes ``-c`` from its lower spring and
     ``+c`` from its upper one, in the order ``-x, +x, -y, +y, -z, +z``.
     Negation is exact in IEEE arithmetic, so the forces are bit-identical
     to summing the six neighbour vectors of every cell.
+
+    The rows are processed in blocks of about ``_FORCES_BLOCK_CELLS``
+    interior cells.  A row's forces depend only on the positions, so
+    blocking changes no value; a spring on a block boundary is merely
+    evaluated once per adjacent block.
     """
     n = env["N"]
-    k_spring = env["K_spring"]
-    rest = env["L0"]
     pos = (env["pos_x"], env["pos_y"], env["pos_z"])
     force = (env["force_x"], env["force_y"], env["force_z"])
 
     for f in force:
         f[lo:hi] = 0.0
 
+    rows = max(1, _FORCES_BLOCK_CELLS // (n - 2) ** 2)
+    for start in range(lo, hi, rows):
+        _forces_rows(start, min(start + rows, hi), n, env["K_spring"],
+                     env["L0"], pos, force)
+
+
+def _forces_rows(lo: int, hi: int, n: int, k_spring: float, rest: float,
+                 pos, force) -> None:
+    """Interior forces of rows ``[lo, hi)`` (see :func:`forces_body`)."""
     inner = slice(1, n - 1)
     acc = [np.zeros_like(p[lo:hi, inner, inner]) for p in pos]
     for axis in range(3):
@@ -78,25 +95,33 @@ def forces_body(lo: int, hi: int, env: Mapping) -> None:
         f[lo:hi, inner, inner] = total
 
 
+# The pointwise bodies update their output rows in place: each element
+# gets the same IEEE operations as ``x = x + dt * y``, without the
+# temporary for the sum.
+
+
 def accelerations_body(lo: int, hi: int, env: Mapping) -> None:
     """``a = F / m`` over whole rows (boundary forces are zero)."""
     inv_mass = 1.0 / env["mass"]
     for c in ("x", "y", "z"):
-        env[f"acc_{c}"][lo:hi] = env[f"force_{c}"][lo:hi] * inv_mass
+        np.multiply(env[f"force_{c}"][lo:hi], inv_mass,
+                    out=env[f"acc_{c}"][lo:hi])
 
 
 def velocities_body(lo: int, hi: int, env: Mapping) -> None:
     """``v += dt * a`` (explicit Euler)."""
     dt = env["dt"]
     for c in ("x", "y", "z"):
-        env[f"vel_{c}"][lo:hi] = env[f"vel_{c}"][lo:hi] + dt * env[f"acc_{c}"][lo:hi]
+        v = env[f"vel_{c}"][lo:hi]
+        v += dt * env[f"acc_{c}"][lo:hi]
 
 
 def positions_body(lo: int, hi: int, env: Mapping) -> None:
     """``x += dt * v`` (fixed boundaries have v = 0)."""
     dt = env["dt"]
     for c in ("x", "y", "z"):
-        env[f"pos_{c}"][lo:hi] = env[f"pos_{c}"][lo:hi] + dt * env[f"vel_{c}"][lo:hi]
+        x = env[f"pos_{c}"][lo:hi]
+        x += dt * env[f"vel_{c}"][lo:hi]
 
 
 def centers_body(lo: int, hi: int, env: Mapping) -> None:

@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.bench import machines
 from repro.device.device import Device
 from repro.device.kernel import KernelSpec, LaunchConfig
+from repro.openmp import Map, OpenMPRuntime, Var
+from repro.openmp.target import (target_enter_data, target_exit_data,
+                                 target_update)
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 from repro.sim.timeline import CopyD2H, CopyH2D
-from repro.sim.topology import DeviceSpec, HostSpec, LinkSpec
+from repro.sim.topology import (DeviceSpec, HostSpec, LinkSpec,
+                                cte_power_node, uniform_node)
+from repro.somier import run_somier
+from repro.spread import omp_spread_size as Z
+from repro.spread import omp_spread_start as S
+from repro.spread import target_spread
 from repro.sim.trace import Trace, TraceAnalysis
 
 
@@ -158,6 +167,150 @@ class TestCopyWalkers:
         assert walker._processed and walker._ok
         assert dst[0] == 1.0
         assert walker._snaps is None
+
+
+def spawn_copy(sim, dev, body, h2d, src, dst, exclusive):
+    """One ``src[0:1] -> dst[0:1]`` copy on *body*: the generator copy,
+    a fused batch of it plus a second section, or the copy walker."""
+    if body == "walker":
+        cls = CopyH2D if h2d else CopyD2H
+        return cls.spawn(sim, dev, src, slice(0, 1), dst, slice(0, 1),
+                         "map:src", exclusive)
+    if body == "fused":
+        pairs = [(src, slice(0, 1), dst, slice(0, 1)),
+                 (np.ones(1), slice(0, 1), np.zeros(1), slice(0, 1))]
+        batch = dev.copy_h2d_batch if h2d else dev.copy_d2h_batch
+        return sim.process(batch(pairs, exclusive=exclusive))
+    copy = dev.copy_h2d if h2d else dev.copy_d2h
+    return sim.process(copy(src, slice(0, 1), dst, slice(0, 1),
+                            exclusive=exclusive))
+
+
+@pytest.fixture
+def no_snapshots(monkeypatch):
+    """Fail any snapshot: exclusive copies must move their bytes once."""
+    def refuse(sections):
+        raise AssertionError("an exclusive copy took a snapshot")
+
+    monkeypatch.setattr(Device, "_snapshot_sections", staticmethod(refuse))
+
+
+@pytest.mark.parametrize("body", ["generator", "fused", "walker"])
+class TestExclusiveCopies:
+    """An exclusive copy takes no snapshot: an H2D writes the device
+    buffer at staging end, a D2H reads it at commit.  Host reads and
+    writes, resources and virtual time are those of a snapshot copy."""
+
+    def test_h2d_bytes_land_at_staging_end(self, sim, body, no_snapshots):
+        dev = make_device(sim, bw=1.0, staging_bw=1e12)  # very slow wire
+        src = np.array([1.0])
+        dst = np.zeros(1)
+        proc = spawn_copy(sim, dev, body, True, src, dst, exclusive=True)
+        seen = []
+
+        def during_wire():
+            yield sim.timeout(1.0)
+            seen.append(dst[0])
+            src[0] = 99.0
+
+        sim.process(during_wire())
+        sim.run()
+        assert proc._processed and proc._ok
+        assert seen == [1.0]
+        assert dst[0] == 1.0
+
+    def test_d2h_reads_the_device_at_commit(self, sim, body, no_snapshots):
+        dev = make_device(sim, bw=1e12, staging_bw=1.0)  # very slow staging
+        src = np.array([1.0])
+        dst = np.zeros(1)
+        proc = spawn_copy(sim, dev, body, False, src, dst, exclusive=True)
+        seen = []
+
+        def during_staging():
+            yield sim.timeout(1.0)
+            seen.append(dst[0])
+            src[0] = 99.0
+
+        sim.process(during_staging())
+        sim.run()
+        assert proc._processed and proc._ok
+        assert seen == [0.0]  # the host is written at commit only
+        assert dst[0] == 99.0
+
+    @pytest.mark.parametrize("h2d", [True, False])
+    def test_timing_and_trace_match_the_snapshot_copy(self, body, h2d):
+        traces = []
+        for exclusive in (False, True):
+            sim = Simulator()
+            dev = make_device(sim, bw=1e6, staging_bw=2e6, latency=1e-5)
+            spawn_copy(sim, dev, body, h2d, np.arange(1.0, 2.0),
+                       np.zeros(1), exclusive)
+            sim.run()
+            traces.append((sim.now, dev.trace.events, dev.memcpy_calls))
+        assert traces[0] == traces[1]
+
+
+class TestSnapshotsOnlyWhereShared:
+    """The runtime marks its own transfers exclusive: a Somier run takes
+    no snapshot at all, a ``target update`` still does."""
+
+    @pytest.fixture
+    def snapshots(self, monkeypatch):
+        calls = []
+        real = Device._snapshot_sections
+
+        def counting(sections):
+            calls.append(len(sections))
+            return real(sections)
+
+        monkeypatch.setattr(Device, "_snapshot_sections",
+                            staticmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("spec,fuse", [("cte-power:4", False),
+                                           ("cte-power:4", True),
+                                           ("cluster:2x2", False)])
+    def test_somier_takes_no_snapshot(self, snapshots, spec, fuse):
+        topo, cm = machines.machine_for_spec(spec, n_functional=24)
+        cfg = machines.paper_somier_config(n_functional=24, steps=1)
+        res = run_somier("one_buffer", cfg, topology=topo, cost_model=cm,
+                         fuse_transfers=fuse)
+        assert res.stats["h2d_bytes"] > 0 and res.stats["d2h_bytes"] > 0
+        assert snapshots == []
+
+    def test_spread_kernel_maps_take_no_snapshot(self, snapshots):
+        """A ``target spread`` with its own maps: the kernel op's implicit
+        enter copies in, its implicit exit copies back."""
+        rt = OpenMPRuntime(topology=cte_power_node(4, memory_bytes=1e9))
+        a = Var("A", np.arange(16.0))
+
+        def double(lo, hi, env):
+            env["A"][lo:hi] *= 2.0
+
+        def program(omp):
+            for _ in range(3):
+                yield from target_spread(omp, KernelSpec("double", double),
+                                         0, 16, [0, 1, 2, 3],
+                                         maps=[Map.tofrom(a, (S, Z))])
+
+        rt.run(program)
+        assert snapshots == []
+        assert np.array_equal(a.array, np.arange(16.0) * 8)
+
+    def test_target_update_keeps_the_snapshot(self, snapshots):
+        rt = OpenMPRuntime(topology=uniform_node(1, memory_bytes=1e9))
+        a = Var("A", np.arange(8.0))
+
+        def program(omp):
+            yield from target_enter_data(omp, device=0, maps=[Map.to(a)])
+            yield from target_update(omp, device=0, to=[(a, None)])
+            yield from target_update(omp, device=0, from_=[(a, None)])
+            yield from target_exit_data(omp, device=0,
+                                        maps=[Map.release(a)])
+
+        rt.run(program)
+        assert snapshots == [1, 1]  # one per update; the enter takes none
+        assert np.array_equal(a.array, np.arange(8.0))
 
 
 class TestSharedLink:

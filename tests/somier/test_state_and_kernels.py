@@ -5,7 +5,10 @@ import pytest
 
 from repro.device.views import GlobalView
 from repro.somier.config import SomierConfig
-from repro.somier.kernels import forces_body, make_kernels
+from repro.somier import kernels as somier_kernels
+from repro.somier.kernels import (accelerations_body, forces_body,
+                                  make_kernels, positions_body,
+                                  velocities_body)
 from repro.somier.state import GRID_NAMES, SomierState
 
 
@@ -259,3 +262,70 @@ class TestForcesOracle:
             for name in FORCES:
                 assert (dev[name].local().tobytes()
                         == ref[name][lo:hi].tobytes()), (name, lo, hi)
+
+
+class TestForcesBlocks:
+    """``forces_body`` walks its rows in blocks; the forces must be
+    byte-equal to one block over all rows, across block boundaries."""
+
+    @pytest.mark.parametrize("n,rows", [(96, None), (96, 1), (24, 1),
+                                        (24, 2), (24, 5)])
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_blocked_equals_one_block(self, monkeypatch, n, rows, seed):
+        cells = somier_kernels._FORCES_BLOCK_CELLS
+        if rows is not None:
+            cells = rows * (n - 2) ** 2
+        assert cells // (n - 2) ** 2 < n - 2  # more than one block
+        env = forces_env(n, seed)
+        for lo, hi in [(1, n - 1)] + chunks(n):
+            monkeypatch.setattr(somier_kernels, "_FORCES_BLOCK_CELLS", cells)
+            blocked = dict(env, **{f: env[f].copy() for f in FORCES})
+            forces_body(lo, hi, blocked)
+            monkeypatch.setattr(somier_kernels, "_FORCES_BLOCK_CELLS",
+                                n ** 3)
+            whole = dict(env, **{f: env[f].copy() for f in FORCES})
+            forces_body(lo, hi, whole)
+            for name in FORCES:
+                assert blocked[name].tobytes() == whole[name].tobytes(), (
+                    name, lo, hi)
+
+
+def signed_zero_data(rng, shape):
+    """Normal samples with a tenth of the cells +0.0 and a tenth -0.0."""
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    x[pick < 0.1] = 0.0
+    x[pick > 0.9] = -0.0
+    return x
+
+
+class TestPointwiseInPlace:
+    """The pointwise bodies update in place; every row they cover must be
+    byte-equal to the ``x = x + dt * y`` forms they replace, signed zeros
+    included, and every other row untouched."""
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.0, -0.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_out_of_place_forms(self, dt, seed):
+        rng = np.random.default_rng(seed)
+        n, lo, hi = 12, 3, 9
+        env = {"mass": 1.5, "dt": dt}
+        for kind in ("force", "acc", "vel", "pos"):
+            for c in "xyz":
+                env[f"{kind}_{c}"] = signed_zero_data(rng, (n, n, n))
+        ref = {k: (v.copy() if isinstance(v, np.ndarray) else v)
+               for k, v in env.items()}
+        inv_mass = 1.0 / ref["mass"]
+        for c in "xyz":
+            ref[f"acc_{c}"][lo:hi] = ref[f"force_{c}"][lo:hi] * inv_mass
+        for c in "xyz":
+            ref[f"vel_{c}"][lo:hi] = (ref[f"vel_{c}"][lo:hi]
+                                      + dt * ref[f"acc_{c}"][lo:hi])
+        for c in "xyz":
+            ref[f"pos_{c}"][lo:hi] = (ref[f"pos_{c}"][lo:hi]
+                                      + dt * ref[f"vel_{c}"][lo:hi])
+        for body in (accelerations_body, velocities_body, positions_body):
+            body(lo, hi, env)
+        for name, want in ref.items():
+            if isinstance(want, np.ndarray):
+                assert env[name].tobytes() == want.tobytes(), name
