@@ -420,13 +420,14 @@ class Device:
             self.queue.release(queue_req)
         self.memcpy_calls += 1
         self.h2d_bytes += cost.bytes
-        idx = self.trace.record(tr.H2D, name, lane=self.queue.name,
-                                start=start, end=self.sim.now,
-                                device=self.device_id, bytes=cost.bytes,
-                                issue=issue_ts, ready=ready_ts,
-                                wire_start=wire_start, wire_end=wire_end,
-                                fused=len(copies) if fused else 0,
-                                **net_meta, **_prov_meta(proc))
+        idx = None
+        if self.trace.enabled:
+            idx = self.trace.record(
+                tr.H2D, name, lane=self.queue.name, start=start,
+                end=self.sim.now, device=self.device_id, bytes=cost.bytes,
+                issue=issue_ts, ready=ready_ts, wire_start=wire_start,
+                wire_end=wire_end, fused=len(copies) if fused else 0,
+                **net_meta, **_prov_meta(proc))
         if rec is not None:
             rec.op_end(op, proc, idx)
         tools = self.tools
@@ -519,14 +520,15 @@ class Device:
         self.d2h_bytes += cost.bytes
         # ``done`` > ``end`` for D2H: the trailing staging piece drains on
         # the host after the device queue slot is released.
-        idx = self.trace.record(tr.D2H, name, lane=self.queue.name,
-                                start=start, end=wire_end,
-                                device=self.device_id, bytes=cost.bytes,
-                                issue=issue_ts, ready=ready_ts,
-                                wire_start=wire_start, wire_end=wire_end,
-                                done=self.sim.now,
-                                fused=len(copies) if fused else 0,
-                                **net_meta, **_prov_meta(proc))
+        idx = None
+        if self.trace.enabled:
+            idx = self.trace.record(
+                tr.D2H, name, lane=self.queue.name, start=start,
+                end=wire_end, device=self.device_id, bytes=cost.bytes,
+                issue=issue_ts, ready=ready_ts, wire_start=wire_start,
+                wire_end=wire_end, done=self.sim.now,
+                fused=len(copies) if fused else 0,
+                **net_meta, **_prov_meta(proc))
         if rec is not None:
             rec.op_end(op, proc, idx)
         tools = self.tools
@@ -584,12 +586,13 @@ class Device:
         finally:
             self.queue.release(req)
         self.kernels_launched += 1
-        idx = self.trace.record(tr.KERNEL, spec.name, lane=self.queue.name,
-                                start=start, end=self.sim.now,
-                                device=self.device_id,
-                                lo=lo, hi=hi, iterations=cost.iterations,
-                                issue=issue_ts, ready=ready_ts,
-                                **_prov_meta(proc))
+        idx = None
+        if self.trace.enabled:
+            idx = self.trace.record(
+                tr.KERNEL, spec.name, lane=self.queue.name, start=start,
+                end=self.sim.now, device=self.device_id, lo=lo, hi=hi,
+                iterations=cost.iterations, issue=issue_ts, ready=ready_ts,
+                **_prov_meta(proc))
         if rec is not None:
             rec.op_end(op, proc, idx)
         tools = self.tools

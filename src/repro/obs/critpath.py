@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 from array import array
-from heapq import nlargest
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import attrgetter, sub
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.trace import (D2H, H2D, KERNEL, Trace, _intersect,
-                             _merge_intervals, _total)
+from repro.sim.trace import D2H, H2D, KERNEL, Trace, _intersect, _total
 
 #: JSON schema tag of :meth:`CritPathAnalysis.report` payloads
 CRITPATH_SCHEMA = "repro-critpath-1"
@@ -39,8 +40,33 @@ CRITPATH_SCHEMA = "repro-critpath-1"
 _TRANSFERS = (H2D, D2H)
 
 
-def _attempt(ev) -> int:
-    return ev.meta.get("attempt", 0)
+def _merged(idx: Sequence[int], lo: Sequence[float],
+            hi: Sequence[float]) -> List[Tuple[float, float]]:
+    """``_merge_intervals`` of the intervals ``(lo[i], hi[i])`` for ``i``
+    in *idx*, read from columns: only the merged intervals become tuples.
+
+    Ordering by start alone is enough, because intervals that share a
+    start fall into one merged interval in any order.
+    """
+    order = sorted([i for i in idx if hi[i] > lo[i]], key=lo.__getitem__)
+    out: List[Tuple[float, float]] = []
+    if not order:
+        return out
+    cur_lo, cur_hi = lo[order[0]], hi[order[0]]
+    for i in order:
+        if lo[i] > cur_hi:
+            out.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo[i], hi[i]
+        elif hi[i] > cur_hi:
+            cur_hi = hi[i]
+    out.append((cur_lo, cur_hi))
+    return out
+
+
+def _clamped(xs, ys) -> List[float]:
+    """``max(0.0, x - y)`` per pair, to the bit (``max`` keeps its first
+    argument unless the second is greater)."""
+    return [d if d > 0.0 else 0.0 for d in map(sub, xs, ys)]
 
 
 def _subtract(xs: Sequence[Tuple[float, float]],
@@ -95,15 +121,28 @@ class CausalRecorder:
         #: frontier tuple, stored by reference — frontiers are shared by
         #: inheritance, so this costs one pointer per op, not one edge)
         self.op_deps: Dict[int, Tuple[int, ...]] = {}
-        #: (blocked_op, blocker_op, resource): blocked was granted the
-        #: slot blocker released
-        self.res_edges: List[Tuple[int, int, str]] = []
+        #: contention edges as parallel columns (no tuple per edge):
+        #: ``_blocked[k]`` was granted the ``_res_names[k]`` slot that
+        #: ``_blockers[k]`` released
+        self._blocked = array("q")
+        self._blockers = array("q")
+        self._res_names: List[str] = []
         #: op id -> trace event index (bound at op_end)
         self.op_event: Dict[int, int] = {}
 
     @property
     def dep_edge_count(self) -> int:
         return sum(len(v) for v in self.op_deps.values())
+
+    @property
+    def res_edge_count(self) -> int:
+        return len(self._res_names)
+
+    @property
+    def res_edges(self) -> List[Tuple[int, int, str]]:
+        """``(blocked_op, blocker_op, resource)`` per contention edge, in
+        recording order."""
+        return list(zip(self._blocked, self._blockers, self._res_names))
 
     def install(self, sim) -> None:
         sim.recorder = self
@@ -127,7 +166,9 @@ class CausalRecorder:
     def contention(self, blocked_op: int, blocker_op: Optional[int],
                    resource: str) -> None:
         if blocker_op is not None:
-            self.res_edges.append((blocked_op, blocker_op, resource))
+            self._blocked.append(blocked_op)
+            self._blockers.append(blocker_op)
+            self._res_names.append(resource)
 
     # -- join hook ---------------------------------------------------------
 
@@ -150,13 +191,16 @@ class CausalRecorder:
         if len(merged) == len(cur):
             return
         if len(merged) > self.MAX_HEADS:
-            proc.cp_heads = tuple(nlargest(self.MAX_HEADS, merged))
+            # The MAX_HEADS largest ids, descending: heapq.nlargest's
+            # tuple from one C sort.
+            proc.cp_heads = tuple(sorted(merged,
+                                         reverse=True)[:self.MAX_HEADS])
         else:
             proc.cp_heads = tuple(merged)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<CausalRecorder ops={self.ops} dep={self.dep_edge_count} "
-                f"res={len(self.res_edges)}>")
+                f"res={self.res_edge_count}>")
 
 
 class CritPathAnalysis:
@@ -169,18 +213,35 @@ class CritPathAnalysis:
         self.recorder = recorder
         self.directive_info = directive_info or {}
         self.num_devices = num_devices
-        self.events = trace.events
+        self.events = events = trace.events
         self.makespan = trace.makespan()
-        #: per-event stamps, read from ``meta`` once
-        self.issue = [e.meta.get("issue", e.start) for e in self.events]
-        self.ready = [e.meta.get("ready", e.start) for e in self.events]
-        self.done = [e.meta.get("done", e.end) for e in self.events]
+        # Per-event columns, read from the trace once; every section below
+        # reads these instead of the events and their ``meta`` dicts.
+
+        def field(name):
+            return list(map(attrgetter(name), events))
+
+        self.cat, self.name, self.lane = (field("category"), field("name"),
+                                          field("lane"))
+        self.start, self.end = starts, ends = field("start"), field("end")
+        self.device = field("device")
+        metas = field("meta")
+
+        def column(key, defaults):
+            return list(map(dict.get, metas, repeat(key), defaults))
+
+        self.issue = column("issue", starts)
+        self.ready = column("ready", starts)
+        self.done = column("done", ends)
+        self.directive = column("directive", repeat(None))
+        self.chunk = column("chunk", repeat(None))
+        self.attempt = column("attempt", repeat(0))
+        self.wire_start = column("wire_start", starts)
+        self.wire_end = column("wire_end", ends)
         #: event index -> sorted dependency predecessor event indices
         self.dep_preds: Dict[int, List[int]] = {}
         #: id of a dep_preds list -> its binding predecessor
         self._binding: Dict[int, int] = {}
-        #: event index -> [(predecessor event index, resource name)]
-        self.res_preds: Dict[int, List[Tuple[int, str]]] = {}
         op_event = recorder.op_event
         done = self.done
         # Frontier tuples are shared across ops by inheritance (see
@@ -192,14 +253,16 @@ class CritPathAnalysis:
         # precede its own in the trace; only a hand-built trace can list a
         # later one, and such an edge is dropped (in a per-dst copy).
         expanded: Dict[int, List[int]] = {}
+        bound = op_event.get
         for dst_op, heads in recorder.op_deps.items():
-            dst = op_event.get(dst_op)
+            dst = bound(dst_op)
             if dst is None:
                 continue
             preds = expanded.get(id(heads))
             if preds is None:
-                preds = sorted({op_event[h] for h in heads if h in op_event})
-                expanded[id(heads)] = preds
+                events_of = set(map(bound, heads))
+                events_of.discard(None)
+                preds = expanded[id(heads)] = sorted(events_of)
             if preds and preds[-1] >= dst:
                 preds = [p for p in preds if p < dst]
             if preds:
@@ -207,12 +270,16 @@ class CritPathAnalysis:
                 if id(preds) not in self._binding:
                     self._binding[id(preds)] = max(reversed(preds),
                                                    key=done.__getitem__)
-        for blocked_op, blocker_op, rname in recorder.res_edges:
-            dst = op_event.get(blocked_op)
-            src = op_event.get(blocker_op)
-            if dst is None or src is None or src == dst:
-                continue
-            self.res_preds.setdefault(dst, []).append((src, rname))
+        # Contention edges, grouped by blocked event without a tuple per
+        # edge: ``_res_order`` sorts the edge positions by blocked event
+        # (stably, so each event's edges keep their recording order) and
+        # ``_res_dst`` holds the blocked event at each; -1 stands for an
+        # op bound to no event.
+        dsts = list(map(bound, recorder._blocked, repeat(-1)))
+        self._res_src = list(map(bound, recorder._blockers, repeat(-1)))
+        self._res_name = recorder._res_names
+        self._res_order = sorted(range(len(dsts)), key=dsts.__getitem__)
+        self._res_dst = list(map(dsts.__getitem__, self._res_order))
         self._cp: Optional[dict] = None
         self._attr: Optional[dict] = None
 
@@ -221,6 +288,24 @@ class CritPathAnalysis:
         complete, ties to the highest index (None without predecessors)."""
         preds = self.dep_preds.get(dst)
         return self._binding[id(preds)] if preds else None
+
+    def res_preds(self, dst: int) -> List[Tuple[int, str]]:
+        """``(blocker event, resource)`` per contention edge into event
+        *dst*, in recording order."""
+        keys, order = self._res_dst, self._res_order
+        out = []
+        for k in order[bisect_left(keys, dst):bisect_right(keys, dst)]:
+            src = self._res_src[k]
+            if src != -1 and src != dst:
+                out.append((src, self._res_name[k]))
+        return out
+
+    def _segment(self, kind: str, i: int, start: float, end: float) -> dict:
+        """A critical-path segment spent on (or preparing) event *i*."""
+        return {"kind": kind, "event": i, "name": self.name[i],
+                "lane": self.lane[i], "device": self.device[i],
+                "directive": self.directive[i], "chunk": self.chunk[i],
+                "start": start, "end": end}
 
     # -- critical path -----------------------------------------------------
 
@@ -237,52 +322,41 @@ class CritPathAnalysis:
         """
         if self._cp is not None:
             return self._cp
-        events = self.events
-        if not events:
+        starts, ends, lanes = self.start, self.end, self.lane
+        if not starts:
             self._cp = {"segments": [], "length_s": 0.0, "work_s": 0.0,
                         "makespan_s": 0.0, "events": 0, "slackness": 1.0,
                         "busy_fraction": 0.0}
             return self._cp
-        last = max(range(len(events)), key=lambda i: (events[i].end, i))
+        # the latest end, ties to the highest index
+        last = max(reversed(range(len(ends))), key=ends.__getitem__)
         eps = 1e-9 * max(1.0, self.makespan)
         segments: List[dict] = []
         on_path: List[int] = []
         cur: Optional[int] = last
-        attach = events[last].end
+        attach = ends[last]
         seen = set()
         while cur is not None and cur not in seen:
             seen.add(cur)
-            ev = events[cur]
+            start = starts[cur]
             on_path.append(cur)
-            segments.append({
-                "kind": ev.category, "event": cur, "name": ev.name,
-                "lane": ev.lane, "device": ev.device,
-                "directive": ev.meta.get("directive"),
-                "chunk": ev.meta.get("chunk"),
-                "start": ev.start, "end": attach,
-            })
+            segments.append(self._segment(self.cat[cur], cur, start, attach))
             issue, ready = self.issue[cur], self.ready[cur]
             blocker = None
-            if ev.start - ready > eps:
+            if start - ready > eps:
                 # The op was ready before it ran: find the lane-slot
                 # release that granted it (queued behind same-lane work).
-                for pred, rname in self.res_preds.get(cur, ()):
-                    if rname == ev.lane and pred < cur and \
-                            abs(events[pred].end - ev.start) <= eps:
+                for pred, rname in self.res_preds(cur):
+                    if rname == lanes[cur] and pred < cur and \
+                            abs(ends[pred] - start) <= eps:
                         blocker = pred
                         break
             if blocker is not None:
                 cur = blocker
-                attach = events[blocker].end
+                attach = ends[blocker]
                 continue
-            if ev.start - issue > 0:
-                segments.append({
-                    "kind": "prep", "event": cur, "name": ev.name,
-                    "lane": ev.lane, "device": ev.device,
-                    "directive": ev.meta.get("directive"),
-                    "chunk": ev.meta.get("chunk"),
-                    "start": issue, "end": ev.start,
-                })
+            if start - issue > 0:
+                segments.append(self._segment("prep", cur, issue, start))
             pred = self.binding(cur)
             if pred is not None:
                 gap_start = min(self.done[pred], issue)
@@ -304,7 +378,7 @@ class CritPathAnalysis:
                 cur = None
         segments.reverse()
         length = sum(s["end"] - s["start"] for s in segments)
-        work = sum(events[i].duration for i in set(on_path))
+        work = sum(ends[i] - starts[i] for i in set(on_path))
         busy_fraction = work / self.makespan if self.makespan > 0 else 0.0
         slackness = self.makespan / work if work > 0 else 1.0
         self._cp = {
@@ -326,37 +400,44 @@ class CritPathAnalysis:
         (lane events never overlap: device queues are capacity 1)."""
         if self._attr is not None:
             return self._attr
+        starts, ends, devices = self.start, self.end, self.device
+        cats, attempts, issue = self.cat, self.attempt, self.issue
+        by_lane: Dict[str, List[int]] = {}
+        for i, lane in enumerate(self.lane):
+            by_lane.setdefault(lane, []).append(i)
         rows = []
-        for lane, evs in sorted(self.trace.by_lane().items()):
-            device = next((e.device for e in evs if e.device is not None),
-                          None)
-            if device is None:
+        for lane, idx in sorted(by_lane.items()):
+            owners = set(map(devices.__getitem__, idx))
+            owners.discard(None)
+            if not owners:
                 continue  # host lane: not device time
-            compute_iv, transfer_iv, retry_iv = [], [], []
-            busy_iv, stall_iv = [], []
-            for e in evs:
-                iv = (e.start, e.end)
-                busy_iv.append(iv)
-                if _attempt(e):
-                    retry_iv.append(iv)
-                elif e.category == KERNEL:
-                    compute_iv.append(iv)
+            device = owners.pop()
+            if owners:
+                # the first device in the lane's (start, end) order
+                device = devices[min(
+                    (i for i in idx if devices[i] is not None),
+                    key=lambda i: (starts[i], ends[i]))]
+            compute, transfer, retry = [], [], []
+            for i in idx:
+                if attempts[i]:
+                    retry.append(i)
+                elif cats[i] == KERNEL:
+                    compute.append(i)
                 else:
-                    transfer_iv.append(iv)
-                stall_iv.append((e.meta.get("issue", e.start), e.start))
-            busy = _merge_intervals(busy_iv)
+                    transfer.append(i)
+            busy = _merged(idx, starts, ends)
             busy_s = _total(busy)
-            contention = _total(_subtract(_merge_intervals(stall_iv), busy))
+            contention = _total(_subtract(_merged(idx, issue, starts), busy))
             idle = max(0.0, self.makespan - busy_s - contention)
             rows.append({
                 "lane": lane, "device": device,
-                "compute_s": _total(_merge_intervals(compute_iv)),
-                "transfer_s": _total(_merge_intervals(transfer_iv)),
-                "retry_s": _total(_merge_intervals(retry_iv)),
+                "compute_s": _total(_merged(compute, starts, ends)),
+                "transfer_s": _total(_merged(transfer, starts, ends)),
+                "retry_s": _total(_merged(retry, starts, ends)),
                 "contention_s": contention,
                 "idle_s": idle,
                 "busy_s": busy_s,
-                "events": len(evs),
+                "events": len(idx),
             })
         keys = ("compute_s", "transfer_s", "retry_s", "contention_s",
                 "idle_s", "busy_s")
@@ -370,22 +451,22 @@ class CritPathAnalysis:
 
     def stragglers(self, top: Optional[int] = 5) -> List[dict]:
         """Per-spread-directive chunk dispersion, worst offenders first."""
-        groups: Dict[int, Dict[int, List]] = {}
-        for e in self.events:
-            did = e.meta.get("directive")
-            chunk = e.meta.get("chunk")
-            if did is None or chunk is None or e.category != KERNEL:
+        starts, ends = self.start, self.end
+        groups: Dict[int, Dict[int, List[int]]] = {}
+        for i, (did, chunk, cat) in enumerate(zip(self.directive,
+                                                  self.chunk, self.cat)):
+            if did is None or chunk is None or cat != KERNEL:
                 continue
-            groups.setdefault(did, {}).setdefault(chunk, []).append(e)
+            groups.setdefault(did, {}).setdefault(chunk, []).append(i)
         out = []
         for did, chunks in sorted(groups.items()):
             if len(chunks) < 2:
                 continue
             per = []
-            for chunk, evs in sorted(chunks.items()):
+            for chunk, idx in sorted(chunks.items()):
                 per.append({"chunk": chunk,
-                            "seconds": sum(e.duration for e in evs),
-                            "device": evs[-1].device})
+                            "seconds": sum(ends[i] - starts[i] for i in idx),
+                            "device": self.device[idx[-1]]})
             mean = sum(p["seconds"] for p in per) / len(per)
             worst = max(per, key=lambda p: (p["seconds"], p["chunk"]))
             info = self.directive_info.get(did, {})
@@ -409,29 +490,31 @@ class CritPathAnalysis:
     def overlap(self) -> List[dict]:
         """Per-directive lane-busy efficiency over the directive's window."""
         groups: Dict[int, List[int]] = {}
-        for i, e in enumerate(self.events):
-            did = e.meta.get("directive")
-            if did is None:
-                continue
-            groups.setdefault(did, []).append(i)
+        for i, did in enumerate(self.directive):
+            if did is not None:
+                groups.setdefault(did, []).append(i)
+        starts, ends = self.start, self.end
+        cats, lanes_of, devices = self.cat, self.lane, self.device
         rows = []
         for did, idx in sorted(groups.items()):
-            window = (max(self.done[i] for i in idx)
-                      - min(self.issue[i] for i in idx))
-            lanes: Dict[str, List] = {}
-            comp: Dict[Any, List] = {}
-            xfer: Dict[Any, List] = {}
+            window = (max(map(self.done.__getitem__, idx))
+                      - min(map(self.issue.__getitem__, idx)))
+            lanes: Dict[str, List[int]] = {}
+            comp: Dict[Any, List[int]] = {}
+            xfer: Dict[Any, List[int]] = {}
             for i in idx:
-                e = self.events[i]
-                lanes.setdefault(e.lane, []).append((e.start, e.end))
-                tgt = comp if e.category == KERNEL else xfer
-                tgt.setdefault(e.device, []).append((e.start, e.end))
-            busy = sum(_total(_merge_intervals(iv)) for iv in lanes.values())
+                lanes.setdefault(lanes_of[i], []).append(i)
+                tgt = comp if cats[i] == KERNEL else xfer
+                tgt.setdefault(devices[i], []).append(i)
+            busy = sum(_total(_merged(ix, starts, ends))
+                       for ix in lanes.values())
             denom = window * len(lanes)
+            # A device that only computes or only transfers adds an exact
+            # (integer) zero, so it is left out of the sum.
             ct_overlap = sum(
-                _total(_intersect(_merge_intervals(comp.get(d, [])),
-                                  _merge_intervals(xfer.get(d, []))))
-                for d in sorted(set(comp) | set(xfer),
+                _total(_intersect(_merged(comp[d], starts, ends),
+                                  _merged(xfer[d], starts, ends)))
+                for d in sorted(comp.keys() & xfer.keys(),
                                 key=lambda d: (d is None, d)))
             info = self.directive_info.get(did, {})
             rows.append({
@@ -451,12 +534,9 @@ class CritPathAnalysis:
     def _orig_costs(self) -> Tuple[array, array, array]:
         """Per-event ``prep, hold, tail`` arrays: issue→ready host prep,
         lane occupancy, post-lane drain (the D2H tail staging)."""
-        events = self.events
-        return (array("d", (max(0.0, r - i)
-                            for r, i in zip(self.ready, self.issue))),
-                array("d", (max(0.0, e.end - e.start) for e in events)),
-                array("d", (max(0.0, d - e.end)
-                            for e, d in zip(events, self.done))))
+        return (array("d", _clamped(self.ready, self.issue)),
+                array("d", _clamped(self.end, self.start)),
+                array("d", _clamped(self.done, self.end)))
 
     def _replay_plan(self) -> tuple:
         """The scenario-independent part of :meth:`_replay`, built once
@@ -467,33 +547,52 @@ class CritPathAnalysis:
         kernels after their issue latency): the event, its lane slot, its
         host lag (the original gap between the binding predecessor's
         completion and its issue), its frontier slot (0: no predecessors)
-        and the frontier's predecessor list at the first event that uses
-        it (None elsewhere).
+        and the frontier's :meth:`_maximal` predecessors at the first event
+        that uses it (None elsewhere).
         """
-        events = self.events
-        qjoin = [ready if ev.category == KERNEL else issue
-                 for ev, issue, ready in zip(events, self.issue, self.ready)]
-        order = array("l", sorted(range(len(events)), key=qjoin.__getitem__))
+        issue, done, lane_of = self.issue, self.done, self.lane
+        qjoin = [ready if cat == KERNEL else iss
+                 for cat, iss, ready in zip(self.cat, issue, self.ready)]
+        order = array("l", sorted(range(len(qjoin)), key=qjoin.__getitem__))
         lane_slot: Dict[str, int] = {}
         front_slot: Dict[int, int] = {}
+        binding = self._binding
+        get_preds = self.dep_preds.get
         lanes, lags, fronts = array("l"), array("d"), array("l")
         firsts: List[Optional[List[int]]] = []
         for i in order:
-            lanes.append(lane_slot.setdefault(events[i].lane, len(lane_slot)))
-            preds = self.dep_preds.get(i)
+            lanes.append(lane_slot.setdefault(lane_of[i], len(lane_slot)))
+            preds = get_preds(i)
             f, base = 0, 0.0
             if preds is not None:
-                base = self.done[self.binding(i)]
+                base = done[binding[id(preds)]]
                 f = front_slot.get(id(preds))
                 if f is None:
                     f = front_slot[id(preds)] = len(front_slot) + 1
+                    preds = self._maximal(preds)
                 else:
                     preds = None
-            lags.append(max(0.0, self.issue[i] - base))
+            lag = issue[i] - base
+            lags.append(lag if lag > 0.0 else 0.0)
             fronts.append(f)
             firsts.append(preds)
         return ((order, lanes, lags, fronts, firsts), len(lane_slot),
                 len(front_slot) + 1)
+
+    def _maximal(self, preds: List[int]) -> List[int]:
+        """*preds* less the dependency predecessors of its binding member.
+
+        Every replay cost is non-negative (event durations are, as
+        ``Trace.record`` keeps ``end >= start``), so in every scenario an
+        event completes no earlier than each of its predecessors: the
+        frontier's completion max, as a float, is unchanged, and most of
+        a capped 64-op frontier drops out of the six replays.
+        """
+        below = self.dep_preds.get(self._binding[id(preds)])
+        if not below:
+            return preds
+        below = set(below)
+        return [p for p in preds if p not in below]
 
     def _replay(self, plan: tuple, prep: Sequence[float],
                 hold: Sequence[float], tail: Sequence[float]) -> float:
@@ -533,7 +632,7 @@ class CritPathAnalysis:
     def what_if(self) -> dict:
         """Bound the speedup of fixing each bottleneck class."""
         mk = self.makespan
-        if not self.events:
+        if not self.start:
             return {"makespan_s": mk, "baseline_replay_s": 0.0,
                     "scenarios": {}}
         plan = self._replay_plan()
@@ -552,9 +651,8 @@ class CritPathAnalysis:
                 "note": note,
             }
 
-        events = self.events
-        transfers = [i for i, e in enumerate(events)
-                     if e.category in _TRANSFERS]
+        cats, attempts, directives = self.cat, self.attempt, self.directive
+        transfers = [i for i, cat in enumerate(cats) if cat in _TRANSFERS]
 
         def zero_transfers():
             costs = array("d", prep), array("d", hold), array("d", tail)
@@ -565,27 +663,30 @@ class CritPathAnalysis:
 
         def infinite_link():
             wireless = array("d", hold)
+            wire_start, wire_end = self.wire_start, self.wire_end
             for i in transfers:
-                ev = events[i]
-                wire = max(0.0, ev.meta.get("wire_end", ev.end)
-                           - ev.meta.get("wire_start", ev.start))
-                wireless[i] = max(0.0, hold[i] - wire)
+                # max(0.0, x) spelled without the call, as in _clamped
+                wire = wire_end[i] - wire_start[i]
+                lean = hold[i] - (wire if wire > 0.0 else 0.0)
+                wireless[i] = lean if lean > 0.0 else 0.0
             return prep, wireless, tail
 
+        # first-attempt kernels: the chunks perfect_balance evens out
+        kernels = [i for i, (cat, attempt) in enumerate(zip(cats, attempts))
+                   if cat == KERNEL and not attempt]
         durs: Dict[int, List[float]] = {}
-        for e in events:
-            did = e.meta.get("directive")
-            if e.category == KERNEL and did is not None and not _attempt(e):
-                durs.setdefault(did, []).append(e.duration)
+        for i in kernels:
+            did = directives[i]
+            if did is not None:
+                durs.setdefault(did, []).append(self.end[i] - self.start[i])
         means = {did: sum(ds) / len(ds) for did, ds in durs.items()}
 
         def perfect_balance():
             balanced = array("d", hold)
-            for i, e in enumerate(events):
-                if e.category == KERNEL and not _attempt(e):
-                    mean = means.get(e.meta.get("directive"))
-                    if mean is not None:
-                        balanced[i] = mean
+            for i in kernels:
+                mean = means.get(directives[i])
+                if mean is not None:
+                    balanced[i] = mean
             return prep, balanced, tail
 
         scenario("zero_transfers", zero_transfers,
@@ -594,12 +695,12 @@ class CritPathAnalysis:
                  "wire time zero, per-call latency and staging kept")
         scenario("perfect_balance", perfect_balance,
                  "every chunk kernel takes its directive's mean duration")
-        nd = len({e.device for e in events if e.device is not None})
+        nd = len(set(self.device) - {None})
 
         def scaled(factor: float):
             def costs():
-                return (prep, array("d", (h * factor for h in hold)),
-                        array("d", (t * factor for t in tail)))
+                return (prep, array("d", [h * factor for h in hold]),
+                        array("d", [t * factor for t in tail]))
             return costs
 
         if nd > 0:
@@ -627,30 +728,28 @@ class CritPathAnalysis:
         dependency predecessor; the transitive rest would bury the timeline
         in arrows.  ``wait:<resource>`` arrows mark contention grants.
         """
-        lane_ids = {lane: i
-                    for i, lane in enumerate(sorted(self.trace.by_lane()))}
-        events = self.events
+        lane_ids = {lane: i for i, lane in enumerate(sorted(set(self.lane)))}
+        lanes, starts, ends = self.lane, self.start, self.end
         records: List[dict] = []
         flow_id = 0
 
         def arrow(src: int, dst: int, kind: str) -> None:
             nonlocal flow_id
             flow_id += 1
-            s_ev, d_ev = events[src], events[dst]
             records.append({"name": kind, "cat": "causal", "ph": "s",
                             "id": flow_id, "pid": 0,
-                            "tid": lane_ids[s_ev.lane],
-                            "ts": s_ev.end * 1e6})
+                            "tid": lane_ids[lanes[src]],
+                            "ts": ends[src] * 1e6})
             records.append({"name": kind, "cat": "causal", "ph": "f",
                             "bp": "e", "id": flow_id, "pid": 0,
-                            "tid": lane_ids[d_ev.lane],
-                            "ts": d_ev.start * 1e6})
+                            "tid": lane_ids[lanes[dst]],
+                            "ts": starts[dst] * 1e6})
 
         for dst in sorted(self.dep_preds):
             arrow(self.binding(dst), dst, "dep")
         if include_resource_edges:
-            for dst, entries in sorted(self.res_preds.items()):
-                for src, rname in entries:
+            for dst in sorted(set(self._res_dst) - {-1}):
+                for src, rname in self.res_preds(dst):
                     arrow(src, dst, f"wait:{rname}")
         return records
 
@@ -694,7 +793,7 @@ class CritPathAnalysis:
             "recorder": {
                 "ops": self.recorder.ops,
                 "dep_edges": self.recorder.dep_edge_count,
-                "res_edges": len(self.recorder.res_edges),
+                "res_edges": self.recorder.res_edge_count,
                 "bound_events": len(self.recorder.op_event),
             },
         }

@@ -322,11 +322,15 @@ class TimelineProc(_Walker):
         dev.queue.release(req)
         self._req = None
         dev.kernels_launched += 1
-        self._end_op(dev.trace.record(
-            tr.KERNEL, kernel.name, lane=dev.queue.name, start=self._kstart,
-            end=sim.now, device=rec.device_id, lo=rec.lo, hi=rec.hi,
-            iterations=self.iters, issue=self._issue_ts,
-            ready=self._ready_ts, **_prov_meta(self)))
+        idx = None
+        if dev.trace.enabled:
+            idx = dev.trace.record(
+                tr.KERNEL, kernel.name, lane=dev.queue.name,
+                start=self._kstart, end=sim.now, device=rec.device_id,
+                lo=rec.lo, hi=rec.hi, iterations=self.iters,
+                issue=self._issue_ts, ready=self._ready_ts,
+                **_prov_meta(self))
+        self._end_op(idx)
         # Implicit exit: held refcounts usually just drop back; a count
         # hitting zero runs the full exit protocol (copy-back + release)
         # exactly as ``kernel_op`` does.
@@ -622,12 +626,15 @@ class CopyH2D(_CopyProc):
         cost = self.cost
         dev.memcpy_calls += 1
         dev.h2d_bytes += cost.bytes
-        self._end_op(dev.trace.record(
-            tr.H2D, self.name, lane=dev.queue.name, start=self._cstart,
-            end=sim.now, device=dev.device_id, bytes=cost.bytes,
-            issue=self._issue_ts, ready=self._ready_ts,
-            wire_start=self._wire_start, wire_end=self._wire_end,
-            fused=0, **self.net_meta, **_prov_meta(self)))
+        idx = None
+        if dev.trace.enabled:
+            idx = dev.trace.record(
+                tr.H2D, self.name, lane=dev.queue.name, start=self._cstart,
+                end=sim.now, device=dev.device_id, bytes=cost.bytes,
+                issue=self._issue_ts, ready=self._ready_ts,
+                wire_start=self._wire_start, wire_end=self._wire_end,
+                fused=0, **self.net_meta, **_prov_meta(self))
+        self._end_op(idx)
         self.trigger(None)
 
     def _abort(self, exc: BaseException) -> None:
@@ -773,12 +780,15 @@ class CopyD2H(_CopyProc):
         dev.d2h_bytes += cost.bytes
         # ``done`` > ``end`` for D2H: the trailing staging piece drains on
         # the host after the device queue slot is released.
-        self._end_op(dev.trace.record(
-            tr.D2H, self.name, lane=dev.queue.name, start=self._cstart,
-            end=self._wire_end, device=dev.device_id, bytes=cost.bytes,
-            issue=self._issue_ts, ready=self._ready_ts,
-            wire_start=self._wire_start, wire_end=self._wire_end,
-            done=sim.now, fused=0, **self.net_meta, **_prov_meta(self)))
+        idx = None
+        if dev.trace.enabled:
+            idx = dev.trace.record(
+                tr.D2H, self.name, lane=dev.queue.name, start=self._cstart,
+                end=self._wire_end, device=dev.device_id, bytes=cost.bytes,
+                issue=self._issue_ts, ready=self._ready_ts,
+                wire_start=self._wire_start, wire_end=self._wire_end,
+                done=sim.now, fused=0, **self.net_meta, **_prov_meta(self))
+        self._end_op(idx)
         self.trigger(None)
 
     def _abort(self, exc: BaseException) -> None:

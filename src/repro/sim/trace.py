@@ -82,7 +82,7 @@ class Trace:
                 raise ValueError("trace event ends before it starts")
         self.events.append(TraceEvent(category=category, name=name,
                                       lane=lane, start=start, end=end,
-                                      device=device, meta=dict(meta)))
+                                      device=device, meta=meta))
         return len(self.events) - 1
 
     # -- views ----------------------------------------------------------------

@@ -162,7 +162,7 @@ def run_somier(impl: str, config: SomierConfig,
         stats.update({
             "causal_ops": rt.causal.ops,
             "causal_dep_edges": rt.causal.dep_edge_count,
-            "causal_res_edges": len(rt.causal.res_edges),
+            "causal_res_edges": rt.causal.res_edge_count,
         })
     return SomierResult(impl=impl, devices=devs, config=config, plan=plan,
                         elapsed=rt.elapsed,

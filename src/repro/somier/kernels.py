@@ -17,6 +17,7 @@ weight still counts six spring evaluations per cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Mapping
 
@@ -100,6 +101,28 @@ def _forces_rows(lo: int, hi: int, n: int, k_spring: float, rest: float,
 # temporary for the sum.
 
 
+def _add_scaled(lo: int, hi: int, dt: float, xs, ys) -> None:
+    """``x += dt * y`` for each pair of *xs*, *ys* over rows ``[lo, hi)``.
+
+    ``dt * y`` goes through one scratch buffer of about
+    ``_FORCES_BLOCK_CELLS`` cells, row block by row block, instead of a
+    chunk-sized temporary per axis.  The operations per element are
+    unchanged, so the result is bit-identical.
+    """
+    if hi <= lo:
+        return
+    row_cells = math.prod(ys[0][lo:lo + 1].shape[1:])
+    rows = max(1, _FORCES_BLOCK_CELLS // max(1, row_cells))
+    scratch = np.empty_like(ys[0][lo:lo + min(rows, hi - lo)])
+    for x, y in zip(xs, ys):
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            tmp = scratch[:stop - start]
+            np.multiply(dt, y[start:stop], out=tmp)
+            block = x[start:stop]
+            block += tmp
+
+
 def accelerations_body(lo: int, hi: int, env: Mapping) -> None:
     """``a = F / m`` over whole rows (boundary forces are zero)."""
     inv_mass = 1.0 / env["mass"]
@@ -110,18 +133,14 @@ def accelerations_body(lo: int, hi: int, env: Mapping) -> None:
 
 def velocities_body(lo: int, hi: int, env: Mapping) -> None:
     """``v += dt * a`` (explicit Euler)."""
-    dt = env["dt"]
-    for c in ("x", "y", "z"):
-        v = env[f"vel_{c}"][lo:hi]
-        v += dt * env[f"acc_{c}"][lo:hi]
+    _add_scaled(lo, hi, env["dt"], [env[f"vel_{c}"] for c in "xyz"],
+                [env[f"acc_{c}"] for c in "xyz"])
 
 
 def positions_body(lo: int, hi: int, env: Mapping) -> None:
     """``x += dt * v`` (fixed boundaries have v = 0)."""
-    dt = env["dt"]
-    for c in ("x", "y", "z"):
-        x = env[f"pos_{c}"][lo:hi]
-        x += dt * env[f"vel_{c}"][lo:hi]
+    _add_scaled(lo, hi, env["dt"], [env[f"pos_{c}"] for c in "xyz"],
+                [env[f"vel_{c}"] for c in "xyz"])
 
 
 def centers_body(lo: int, hi: int, env: Mapping) -> None:

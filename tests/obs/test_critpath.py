@@ -291,6 +291,23 @@ class TestSubtract:
             assert _merge_intervals(got) == brute_subtract(xs, ys), (xs, ys)
 
 
+class TestMerged:
+    """``_merged`` reads intervals from columns; it must give exactly
+    ``_merge_intervals`` of the same intervals."""
+
+    def test_matches_merge_intervals(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            count = int(rng.integers(0, 12))
+            # a half-unit grid: shared starts, touching and empty intervals
+            lo = [0.5 * float(v) for v in rng.integers(0, 10, count)]
+            hi = [a + 0.5 * float(v)
+                  for a, v in zip(lo, rng.integers(-1, 5, count))]
+            idx = [int(i) for i in rng.permutation(count)[:count - 1]]
+            assert critpath._merged(idx, lo, hi) == _merge_intervals(
+                [(lo[i], hi[i]) for i in idx]), (lo, hi, idx)
+
+
 class TestRecorderSurface:
     def test_driver_stats_counters(self):
         res = run(analyze=True)
@@ -437,6 +454,16 @@ class TestDegenerateTraces:
         assert sum(lane[k] for k in BUCKETS) == pytest.approx(4.0)
         assert lane["compute_s"] == pytest.approx(2.0)
         assert lane["transfer_s"] == pytest.approx(2.0)
+
+    def test_lane_device_is_its_first_event_s(self):
+        # a hand-built lane shared by two devices reports the device of
+        # its earliest event, whatever the recording order
+        tr = Trace()
+        tr.record(KERNEL, "late", lane="q", start=2.0, end=3.0, device=0)
+        tr.record(KERNEL, "early", lane="q", start=1.0, end=2.0, device=1)
+        tr.record(HOST, "t", lane="q", start=0.0, end=0.5)
+        ana = self._exercise(tr)
+        assert [r["device"] for r in ana.attribution()["lanes"]] == [1]
 
     def test_host_only_trace(self):
         tr = Trace()

@@ -8,21 +8,23 @@ simulator.
 """
 
 import numpy as np
+import pytest
 
 from repro.bench.machines import (
     paper_devices,
     paper_machine,
     paper_somier_config,
 )
+from repro.sim.trace import Trace
 from repro.somier import run_somier
 from tests.conftest import CallbackLog
 
 
-def _run(impl, gpus, tools=(), n=24):
+def _run(impl, gpus, tools=(), n=24, **fields):
     topo, cm = paper_machine(gpus, n_functional=n)
     cfg = paper_somier_config(n_functional=n, steps=2)
     return run_somier(impl, cfg, devices=paper_devices(gpus), topology=topo,
-                      cost_model=cm, tools=tools)
+                      cost_model=cm, tools=tools, **fields)
 
 
 def _event_tuples(trace):
@@ -62,3 +64,22 @@ class TestBitIdentical:
         bare = _run("one_buffer", 2)
         assert not bare.runtime.tools
         assert bare.runtime.tools.dispatch_count == 0
+
+
+class TestUntracedRuns:
+    """A run without a trace builds no trace arguments at all: neither the
+    walkers nor the ``Device`` bodies call ``Trace.record``."""
+
+    @pytest.mark.parametrize("tools", [(), (CallbackLog(),)],
+                             ids=["walkers", "device-bodies"])
+    def test_untraced_run_never_calls_record(self, monkeypatch, plain_env,
+                                             tools):
+        def record(*_args, **_meta):
+            raise AssertionError("Trace.record called on an untraced run")
+
+        traced = _run("one_buffer", 4)
+        monkeypatch.setattr(Trace, "record", record)
+        untraced = _run("one_buffer", 4, tools=tools, trace=False)
+        assert untraced.runtime.trace.events == []
+        assert untraced.elapsed == traced.elapsed
+        assert untraced.stats["kernels_launched"] > 0

@@ -329,3 +329,29 @@ class TestPointwiseInPlace:
         for name, want in ref.items():
             if isinstance(want, np.ndarray):
                 assert env[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("block_rows", [1, 4, 6, 100])
+    @pytest.mark.parametrize("dt", [1e-3, -0.0])
+    def test_row_blocks_match_the_whole_chunk_forms(self, monkeypatch,
+                                                    block_rows, dt):
+        """Row blocks of any size (one row, a ragged last block, the whole
+        chunk) over a device view give the bytes of the whole-chunk
+        ``x += dt * y`` forms the blocked bodies replace."""
+        n, offset, lo, hi = 10, 2, 3, 9
+        monkeypatch.setattr(somier_kernels, "_FORCES_BLOCK_CELLS",
+                            block_rows * n * n)
+        rng = np.random.default_rng(block_rows)
+        host = {f"{kind}_{c}": signed_zero_data(rng, (n, n, n))
+                for kind in ("acc", "vel", "pos") for c in "xyz"}
+        ref = {k: v.copy() for k, v in host.items()}
+        for out, src in (("vel", "acc"), ("pos", "vel")):
+            for c in "xyz":
+                x = ref[f"{out}_{c}"][lo:hi]
+                x += dt * ref[f"{src}_{c}"][lo:hi]
+        env = {"dt": dt}
+        env.update({k: GlobalView(v[offset:], offset, k)
+                    for k, v in host.items()})
+        velocities_body(lo, hi, env)
+        positions_body(lo, hi, env)
+        for name, want in ref.items():
+            assert host[name].tobytes() == want.tobytes(), name
